@@ -2,30 +2,22 @@
 
 Two quantities: the number of distinct step templates when a reasoning
 step verbalizes s of n available bits (a plain binomial coefficient,
-kept exact at any size), and the density of correct answers inside an
-enumerable candidate answer space, reported as an exact rational.
+kept exact at any size), and the density of correct answers inside a
+task's candidate answer space, reported as an exact rational.  Both are
+closed forms, so they stay exact and cheap at any instance length.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import string
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from cotbench.tasks import (
-    AnswerKind,
-    TaskId,
-    TaskInstance,
-    expected_answer_kind,
-    make_instance,
-    oracle_solve,
-)
+from cotbench.tasks import TaskId, TaskInstance, make_instance, oracle_solve
 from cotbench.textgrid import format_grid
-
-ENUMERATION_LIMIT = 10**7
 
 
 class ComplexityError(Exception):
@@ -34,10 +26,6 @@ class ComplexityError(Exception):
 
 class InvalidParams(ComplexityError):
     pass
-
-
-class SpaceTooLarge(ComplexityError):
-    """The candidate space exceeds the exhaustive-enumeration budget."""
 
 
 @dataclass(frozen=True)
@@ -58,20 +46,13 @@ def template_count(params: PromptSpaceParams) -> int:
 
 
 class CandidateModel(Enum):
-    """Enumeration rule defining a task's candidate answer space."""
+    """Rule defining a task's candidate answer space."""
 
     BOOLEAN = "boolean"
     CYCLE_POSITIONS = "cycle-positions"
     COUNT_RANGE = "count-range"
     PERMUTATIONS = "permutations"
     ALPHABET_STRINGS = "alphabet-strings"
-
-    @classmethod
-    def parse(cls, text: str) -> "CandidateModel":
-        for member in cls:
-            if text.strip().lower() in (member.value, member.name.lower()):
-                return member
-        raise ValueError(f"unknown candidate model {text!r}")
 
 
 DEFAULT_CANDIDATE_MODELS = {
@@ -89,7 +70,7 @@ DEFAULT_CANDIDATE_MODELS = {
 
 @dataclass(frozen=True)
 class AnswerSpaceCensus:
-    """Exact counts over one instance's enumerated candidate answers."""
+    """Exact counts over one instance's candidate answers."""
 
     task: TaskId
     length: int
@@ -143,51 +124,39 @@ def answer_space_census(
     instance: TaskInstance | None = None,
     model: CandidateModel | None = None,
 ) -> AnswerSpaceCensus:
-    """Enumerate a candidate answer space and count the correct members."""
+    """Count a candidate answer space and its correct members in closed form.
+
+    The counts are those of enumerating the candidates: permutations are
+    orderings of the instance's symbols by position, so repeated symbols
+    make several orderings spell the same answer.
+    """
     if instance is None:
         if length is None:
             raise InvalidParams("pass a length or an instance")
         instance = reference_instance(task, length)
     if model is None:
         model = DEFAULT_CANDIDATE_MODELS[task]
-    oracle = oracle_solve(task, instance)
+    target = oracle_solve(task, instance).value
 
     if model is CandidateModel.BOOLEAN:
-        candidates: list = [True, False]
+        total, correct = 2, int(type(target) is bool)
     elif model is CandidateModel.CYCLE_POSITIONS:
-        modulus = instance.params.get("modulus", 5)
-        candidates = list(range(modulus))
+        total = instance.params.get("modulus", 5)
+        correct = int(type(target) is int and 0 <= target < total)
     elif model is CandidateModel.COUNT_RANGE:
-        candidates = list(range(instance.length))
+        total = instance.length
+        correct = int(type(target) is int and 0 <= target < total)
     elif model is CandidateModel.PERMUTATIONS:
-        size = math.factorial(instance.length)
-        if size > ENUMERATION_LIMIT:
-            raise SpaceTooLarge(f"{instance.length}! = {size} candidates")
-        total = 0
+        total = math.factorial(len(instance.elements))
+        multiplicities = Counter(instance.elements)
         correct = 0
-        target = oracle.value
-        for perm in itertools.permutations(instance.elements):
-            total += 1
-            if "".join(perm) == target:
-                correct += 1
-        return AnswerSpaceCensus(task, instance.length, model, total, correct)
+        if isinstance(target, str) and Counter(target) == multiplicities:
+            correct = math.prod(math.factorial(m) for m in multiplicities.values())
     else:  # ALPHABET_STRINGS
-        alphabet = sorted(set(instance.elements))
-        out_len = len(oracle.value)
-        size = len(alphabet) ** out_len
-        if size > ENUMERATION_LIMIT:
-            raise SpaceTooLarge(f"{len(alphabet)}^{out_len} = {size} candidates")
-        total = 0
-        correct = 0
-        target = oracle.value
-        for combo in itertools.product(alphabet, repeat=out_len):
-            total += 1
-            if "".join(combo) == target:
-                correct += 1
-        return AnswerSpaceCensus(task, instance.length, model, total, correct)
-
-    correct = sum(1 for c in candidates if c == oracle.value and type(c) is type(oracle.value))
-    return AnswerSpaceCensus(task, instance.length, model, len(candidates), correct)
+        alphabet = set(instance.elements)
+        total = len(alphabet) ** len(target)
+        correct = int(alphabet.issuperset(target))
+    return AnswerSpaceCensus(task, instance.length, model, total, correct)
 
 
 @dataclass
@@ -242,11 +211,8 @@ __all__ = [
     "DensityReport",
     "InvalidParams",
     "PromptSpaceParams",
-    "SpaceTooLarge",
     "answer_space_census",
     "density_report",
     "reference_instance",
     "template_count",
-    "AnswerKind",
-    "expected_answer_kind",
 ]

@@ -131,8 +131,6 @@ def score(extracted: ExtractedAnswer | ExtractionFailure, oracle: OracleAnswer) 
         return Verdict.UNPARSEABLE
     if extracted.kind is not oracle.kind:
         return Verdict.INCORRECT
-    if extracted.kind is AnswerKind.TEXT:
-        return Verdict.CORRECT if extracted.value == oracle.value else Verdict.INCORRECT
     return Verdict.CORRECT if extracted.value == oracle.value else Verdict.INCORRECT
 
 

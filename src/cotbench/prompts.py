@@ -18,7 +18,6 @@ from functools import lru_cache
 from pathlib import Path
 
 from cotbench.tasks import (
-    AnswerKind,
     InputRendering,
     TaskId,
     TaskInstance,
@@ -174,5 +173,4 @@ __all__ = [
     "render_prompt",
     "required_placeholders",
     "verify_manifest",
-    "AnswerKind",
 ]

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable
 
 from cotbench.backends import (
+    AuthError,
     BackendError,
     CallContext,
     CompletionConfig,
@@ -316,6 +317,9 @@ def _execute_call(
         transcript, attempts = backend.complete_with_meta(
             prompt.text, spec.completion, CallContext(instance, oracle)
         )
+    except AuthError:
+        # a rejected key fails every call alike: stop the run, record nothing
+        raise
     except BackendError as exc:
         error = type(exc).__name__
         error_detail = str(exc)
@@ -392,8 +396,10 @@ def run_experiment(
 ) -> Path:
     """Execute (or resume) every cell of the spec against the backend.
 
-    Backend errors are recorded on the affected call and never abort the
-    run; spec problems abort before any call is issued.
+    Backend errors are recorded on the affected call, except AuthError;
+    spec problems abort before any call is issued.  An exception (AuthError
+    included) or an interrupt cancels the calls not yet started, waits for
+    those in flight, discards their results and is raised again.
     """
     spec.validate()
     run_dir = Path(out_dir)
@@ -430,24 +436,29 @@ def run_experiment(
                 pool.submit(_execute_call, spec, backend, cell, index): cell
                 for cell, index in pending
             }
-            for future in as_completed(futures):
-                record = future.result()
-                cell = futures[future]
-                handle = handles.get(cell.label)
-                if handle is None:
-                    path = _cell_file(run_dir, cell)
-                    # a crash can leave a torn final line with no newline;
-                    # terminate it so appended records stay parseable
-                    needs_newline = path.exists() and path.stat().st_size > 0 and not path.read_bytes().endswith(b"\n")
-                    handle = open(path, "a", encoding="utf-8")
-                    if needs_newline:
-                        handle.write("\n")
-                    handles[cell.label] = handle
-                handle.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
-                handle.flush()
-                completed += 1
-                if progress:
-                    progress(completed, total)
+            try:
+                for future in as_completed(futures):
+                    record = future.result()
+                    cell = futures[future]
+                    handle = handles.get(cell.label)
+                    if handle is None:
+                        path = _cell_file(run_dir, cell)
+                        # a crash can leave a torn final line with no newline;
+                        # terminate it so appended records stay parseable
+                        needs_newline = path.exists() and path.stat().st_size > 0 and not path.read_bytes().endswith(b"\n")
+                        handle = open(path, "a", encoding="utf-8")
+                        if needs_newline:
+                            handle.write("\n")
+                        handles[cell.label] = handle
+                    handle.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
+                    handle.flush()
+                    completed += 1
+                    if progress:
+                        progress(completed, total)
+            except BaseException:
+                # without this the executor's exit would still run every queued call
+                pool.shutdown(cancel_futures=True)
+                raise
     finally:
         for handle in handles.values():
             handle.close()

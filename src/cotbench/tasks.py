@@ -10,6 +10,7 @@ function of the random source passed in; every oracle is deterministic.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import string
@@ -115,6 +116,9 @@ ALPHABETS = {
     TaskId.SORTING_LIST: string.ascii_uppercase + string.ascii_lowercase,
     TaskId.DUPLICATE_LIST: "ab",
 }
+# Membership tests run on these sets: on the pool strings, `in` would
+# also admit substrings such as "" and "ab" as symbols.
+_SYMBOLS = {task: frozenset(pool) for task, pool in ALPHABETS.items()}
 
 
 @dataclass(frozen=True)
@@ -231,16 +235,17 @@ def validate_instance(instance: TaskInstance) -> None:
             raise MalformedInstance("palindrome marker is not centered")
         if instance.length % 2 != 0 or instance.length != len(instance.elements) - 1:
             raise MalformedInstance("palindrome length must count the payload symbols, evenly split")
-        pool = ALPHABETS[task]
-        bad = [e for e in instance.payload() if e not in pool]
+        symbols = _SYMBOLS[task]
+        payload = instance.payload()
     else:
         if instance.length != len(instance.elements):
             raise MalformedInstance("length must equal the number of elements")
         if task is TaskId.DUPLICATE_LIST:
-            pool = instance.params.get("alphabet", ALPHABETS[task])
+            symbols = frozenset(instance.params.get("alphabet", ALPHABETS[task]))
         else:
-            pool = ALPHABETS[task]
-        bad = [e for e in instance.elements if e not in pool]
+            symbols = _SYMBOLS[task]
+        payload = instance.elements
+    bad = [e for e in payload if e not in symbols]
     if bad:
         raise MalformedInstance(f"symbols {bad!r} outside alphabet for {task.value}")
 
@@ -517,15 +522,9 @@ def iter_all_instances(task: TaskId, length: int) -> Iterator[TaskInstance]:
         if length % 2 != 0:
             raise UnsupportedLength("even lengths only")
         half = length // 2
-        for left in _product(pool, half):
-            for right in _product(pool, half):
+        for left in itertools.product(pool, repeat=half):
+            for right in itertools.product(pool, repeat=half):
                 yield make_instance(task, list(left) + [PALINDROME_MARKER] + list(right))
         return
-    for combo in _product(pool, length):
+    for combo in itertools.product(pool, repeat=length):
         yield make_instance(task, combo)
-
-
-def _product(pool: str, repeat: int) -> Iterator[tuple[str, ...]]:
-    import itertools
-
-    return itertools.product(pool, repeat=repeat)

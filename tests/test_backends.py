@@ -162,10 +162,12 @@ def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
     StubHandler.script = []
     StubHandler.requests_seen = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits up to one poll interval, 0.5 s by default
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()
+    server.server_close()
 
 
 class TestLiveBackend:
@@ -249,7 +251,7 @@ def test_record_then_replay_reproduces_tables(tmp_path):
     from cotbench.tasks import InputRendering
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), ResultStubHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
     try:
         store = TranscriptStore()
         live = LiveBackend(
@@ -270,6 +272,7 @@ def test_record_then_replay_reproduces_tables(tmp_path):
         live_dir = run_experiment(spec, live, tmp_path / "live")
     finally:
         server.shutdown()
+        server.server_close()
 
     live_records = load_records(live_dir)
     assert all(r.error is None for r in live_records.values())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -12,13 +14,21 @@ from cotbench.complexity import (
     CandidateModel,
     InvalidParams,
     PromptSpaceParams,
-    SpaceTooLarge,
     answer_space_census,
     density_report,
     reference_instance,
     template_count,
 )
-from cotbench.tasks import TaskId, generate_instance, make_instance
+from cotbench.tasks import (
+    ALPHABETS,
+    ANSWER_KINDS,
+    PALINDROME_MARKER,
+    AnswerKind,
+    TaskId,
+    generate_instance,
+    make_instance,
+    oracle_solve,
+)
 
 
 def count(n, s):
@@ -101,9 +111,11 @@ class TestCensus:
         assert census.total == 2**6
         assert census.correct == 1
 
-    def test_space_too_large(self):
-        with pytest.raises(SpaceTooLarge):
-            answer_space_census(TaskId.REVERSE_LIST, 12)
+    def test_paper_lengths_beyond_enumeration(self):
+        census = answer_space_census(TaskId.REVERSE_LIST, 15)
+        assert (census.total, census.correct) == (factorial(15), 1)
+        census = answer_space_census(TaskId.DUPLICATE_LIST, 70)
+        assert (census.total, census.correct) == (2**140, 1)
 
     def test_density_in_unit_interval(self):
         for task in TaskId:
@@ -121,6 +133,69 @@ class TestCensus:
         inst = generate_instance(TaskId.CYCLE_NAVIGATION, 10, seed_path="census/cn")
         census = answer_space_census(TaskId.CYCLE_NAVIGATION, instance=inst)
         assert census.density == Fraction(1, 5)
+
+
+def enumerated_census(instance, model: CandidateModel) -> tuple[int, int]:
+    """(total, correct) by listing every candidate answer and comparing it to the oracle."""
+    target = oracle_solve(instance.task, instance).value
+    if model is CandidateModel.BOOLEAN:
+        candidates = [True, False]
+    elif model is CandidateModel.CYCLE_POSITIONS:
+        candidates = range(instance.params.get("modulus", 5))
+    elif model is CandidateModel.COUNT_RANGE:
+        candidates = range(instance.length)
+    elif model is CandidateModel.PERMUTATIONS:
+        candidates = map("".join, itertools.permutations(instance.elements))
+    else:
+        alphabet = sorted(set(instance.elements))
+        candidates = map("".join, itertools.product(alphabet, repeat=len(target)))
+    total = correct = 0
+    for candidate in candidates:
+        total += 1
+        correct += candidate == target and type(candidate) is type(target)
+    return total, correct
+
+
+def repeated_letter_instance(task: TaskId, length: int, rng: random.Random):
+    """An instance drawn from the first two letters of the task's pool."""
+    pool = ALPHABETS[task][:2]
+    if task is TaskId.PALINDROME_VERIFICATION:
+        half = [rng.choice(pool) for _ in range(length // 2)]
+        return make_instance(task, half + [PALINDROME_MARKER] + half[::-1])
+    return make_instance(task, [rng.choice(pool) for _ in range(length)])
+
+
+ENUMERATION_BUDGET = 10**5  # candidates listed per case, to keep the suite fast
+
+
+@pytest.mark.parametrize("task", list(TaskId))
+def test_closed_form_matches_enumeration(task):
+    rng = random.Random(f"census/{task.value}")
+    # strings are candidates only for a text answer
+    strings = CandidateModel.ALPHABET_STRINGS
+    text_answer = ANSWER_KINDS[task] is AnswerKind.TEXT
+    models = {m for m in CandidateModel if text_answer or m is not strings}
+    checked = set()
+    for length in range(2, 8):
+        if task in (TaskId.PALINDROME_VERIFICATION, TaskId.EQUAL_NUMBER) and length % 2:
+            continue
+        instances = [
+            generate_instance(task, length, seed_path=f"census/{task.value}/{length}/{i}")
+            for i in range(3)
+        ]
+        instances.append(repeated_letter_instance(task, length, rng))
+        for instance in instances:
+            answer_length = len(oracle_solve(task, instance).value) if text_answer else 0
+            for model in models:
+                if model is strings and len(set(instance.elements)) ** answer_length > ENUMERATION_BUDGET:
+                    continue
+                census = answer_space_census(task, instance=instance, model=model)
+                assert (census.total, census.correct) == enumerated_census(instance, model), (
+                    instance.elements,
+                    model,
+                )
+                checked.add(model)
+    assert checked == models
 
 
 class TestDensityReport:

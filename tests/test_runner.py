@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 from scipy import stats as scipy_stats
 
-from cotbench.backends import BackendError, CorruptingBackend, OracleEchoBackend
+from cotbench.backends import AuthError, BackendError, CorruptingBackend, OracleEchoBackend
 from cotbench.extraction import Verdict
 from cotbench.prompts import SupervisionKind
 from cotbench.runner import (
@@ -72,6 +74,70 @@ class TestSpec:
         spec = small_spec(lengths={TaskId.PARITY_CHECK: [20, 25]})
         labels = [c.label for c in spec.cells()]
         assert len(labels) == len(set(labels)) == 8
+
+
+class StallingBackend(OracleEchoBackend):
+    """Echo backend that counts the calls it is given.
+
+    Calls 11 to 18 (twice the workers of TestAbort) wait half a second, so
+    a run aborted around call 10 has long cancelled its queue before a
+    worker is free to start another call.  With ``fail_at`` set, that call
+    raises AuthError.
+    """
+
+    def __init__(self, fail_at: int | None = None):
+        self.calls = 0
+        self.fail_at = fail_at
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, cfg, context=None):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        if call == self.fail_at:
+            raise AuthError("endpoint rejected credentials (401)")
+        if 10 < call <= 18:
+            time.sleep(0.5)
+        return super().complete(prompt, cfg, context)
+
+
+class TestAbort:
+    WORKERS = 4
+
+    def spec(self):
+        return small_spec(instances_per_cell=500)  # 2,000 calls
+
+    def assert_resumes_to_clean_table(self, spec, run_dir, tmp_path):
+        run_experiment(spec, OracleEchoBackend(), run_dir)
+        assert len(load_records(run_dir)) == 2000
+        clean_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "clean")
+        assert aggregate(run_dir, write=False).to_json() == aggregate(clean_dir, write=False).to_json()
+
+    def test_auth_error_stops_run_and_records_nothing(self, tmp_path):
+        spec = self.spec()
+        backend = StallingBackend(fail_at=10)
+        run_dir = tmp_path / "run"
+        with pytest.raises(AuthError):
+            run_experiment(spec, backend, run_dir, workers=self.WORKERS)
+        assert backend.calls <= 10 + self.WORKERS
+        records = load_records(run_dir)
+        assert len(records) < 10
+        assert all(r.error is None and r.verdict is Verdict.CORRECT for r in records.values())
+        self.assert_resumes_to_clean_table(spec, run_dir, tmp_path)
+
+    def test_interrupt_cancels_queued_calls(self, tmp_path):
+        def interrupt_at_ten(done, total):
+            if done == 10:
+                raise KeyboardInterrupt
+
+        spec = self.spec()
+        backend = StallingBackend()
+        run_dir = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(spec, backend, run_dir, workers=self.WORKERS, progress=interrupt_at_ten)
+        assert backend.calls <= 10 + self.WORKERS
+        assert len(load_records(run_dir)) == 10
+        self.assert_resumes_to_clean_table(spec, run_dir, tmp_path)
 
 
 class TestRunExperiment:

@@ -325,6 +325,13 @@ class TestDumpFormat:
         with pytest.raises(MalformedInstance):
             make_instance(TaskId.PARITY_CHECK, ["a", "z"])
 
+    @pytest.mark.parametrize("symbol", ["", "ab"])
+    def test_symbols_are_single_characters(self, symbol):
+        with pytest.raises(MalformedInstance):
+            make_instance(TaskId.REVERSE_LIST, [symbol, "c"])
+        with pytest.raises(MalformedInstance):
+            make_instance(TaskId.PALINDROME_VERIFICATION, [symbol, "#", "a"])
+
     def test_oracle_answer_json_typing(self):
         assert OracleAnswer.from_json(AnswerKind.BOOL, True).value is True
         with pytest.raises(ValueError):
