@@ -153,6 +153,8 @@ def answer_space_census(
         if isinstance(target, str) and Counter(target) == multiplicities:
             correct = math.prod(math.factorial(m) for m in multiplicities.values())
     else:  # ALPHABET_STRINGS
+        if not isinstance(target, str):
+            raise InvalidParams(f"{task.value} answers are not strings; {model.value} does not apply")
         alphabet = set(instance.elements)
         total = len(alphabet) ** len(target)
         correct = int(alphabet.issuperset(target))

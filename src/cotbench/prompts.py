@@ -22,6 +22,7 @@ from cotbench.tasks import (
     TaskId,
     TaskInstance,
     expected_answer_kind,
+    parse_enum,
     render_input,
 )
 
@@ -48,11 +49,7 @@ class SupervisionKind(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "SupervisionKind":
-        text = text.strip().lower()
-        for member in cls:
-            if text in (member.value, member.name.lower()):
-                return member
-        raise ValueError(f"unknown supervision kind {text!r}")
+        return parse_enum(cls, text, "supervision kind")
 
     @property
     def display(self) -> str:

@@ -399,7 +399,8 @@ def run_experiment(
     Backend errors are recorded on the affected call, except AuthError;
     spec problems abort before any call is issued.  An exception (AuthError
     included) or an interrupt cancels the calls not yet started, waits for
-    those in flight, discards their results and is raised again.
+    those in flight, saves the record of every call that succeeded and is
+    raised again.  With one worker the calls run in the calling thread.
     """
     spec.validate()
     run_dir = Path(out_dir)
@@ -430,35 +431,53 @@ def run_experiment(
         return run_dir
 
     handles = {}
+
+    def save(cell: CellKey, record: CallRecord) -> None:
+        handle = handles.get(cell.label)
+        if handle is None:
+            path = _cell_file(run_dir, cell)
+            # a crash can leave a torn final line with no newline;
+            # terminate it so appended records stay parseable
+            needs_newline = path.exists() and path.stat().st_size > 0 and not path.read_bytes().endswith(b"\n")
+            handle = open(path, "a", encoding="utf-8")
+            if needs_newline:
+                handle.write("\n")
+            handles[cell.label] = handle
+        handle.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
+        handle.flush()
+
+    workers = workers or spec.workers
     try:
-        with ThreadPoolExecutor(max_workers=workers or spec.workers) as pool:
-            futures = {
-                pool.submit(_execute_call, spec, backend, cell, index): cell
-                for cell, index in pending
-            }
-            try:
-                for future in as_completed(futures):
-                    record = future.result()
-                    cell = futures[future]
-                    handle = handles.get(cell.label)
-                    if handle is None:
-                        path = _cell_file(run_dir, cell)
-                        # a crash can leave a torn final line with no newline;
-                        # terminate it so appended records stay parseable
-                        needs_newline = path.exists() and path.stat().st_size > 0 and not path.read_bytes().endswith(b"\n")
-                        handle = open(path, "a", encoding="utf-8")
-                        if needs_newline:
-                            handle.write("\n")
-                        handles[cell.label] = handle
-                    handle.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
-                    handle.flush()
-                    completed += 1
-                    if progress:
-                        progress(completed, total)
-            except BaseException:
-                # without this the executor's exit would still run every queued call
-                pool.shutdown(cancel_futures=True)
-                raise
+        if workers == 1:
+            # calls one after another need no pool: handing each call and its
+            # record between two threads only adds work whose cost depends on
+            # how the host schedules them
+            for cell, index in pending:
+                save(cell, _execute_call(spec, backend, cell, index))
+                completed += 1
+                if progress:
+                    progress(completed, total)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                unsaved = {
+                    pool.submit(_execute_call, spec, backend, cell, index): cell
+                    for cell, index in pending
+                }
+                try:
+                    for future in as_completed(list(unsaved)):
+                        save(unsaved.pop(future), future.result())
+                        completed += 1
+                        if progress:
+                            progress(completed, total)
+                except BaseException:
+                    # without this the executor's exit would still run every queued call
+                    pool.shutdown(cancel_futures=True)
+                    # save what succeeded: as_completed yields done futures in no set
+                    # order, and the calls in flight have finished during the shutdown
+                    for future, cell in list(unsaved.items()):
+                        if not future.cancelled() and future.exception() is None:
+                            save(cell, future.result())
+                    raise
     finally:
         for handle in handles.values():
             handle.close()

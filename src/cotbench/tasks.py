@@ -35,6 +35,15 @@ class InstanceTooLarge(TaskError):
     """Instance exceeds the size bound of a naive reference solver."""
 
 
+def parse_enum(cls: type[Enum], text: str, noun: str) -> Enum:
+    """The member of ``cls`` whose value or lower-cased name is ``text``."""
+    text = text.strip().lower()
+    for member in cls:
+        if text in (member.value, member.name.lower()):
+            return member
+    raise ValueError(f"unknown {noun} {text!r}")
+
+
 class TaskId(Enum):
     """The nine tasks, keyed by their short CLI codes."""
 
@@ -50,11 +59,7 @@ class TaskId(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "TaskId":
-        text = text.strip().lower()
-        for member in cls:
-            if text in (member.value, member.name.lower()):
-                return member
-        raise ValueError(f"unknown task {text!r}")
+        return parse_enum(cls, text, "task")
 
     @property
     def display(self) -> str:
@@ -166,11 +171,7 @@ class InputRendering(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "InputRendering":
-        text = text.strip().lower()
-        for member in cls:
-            if text in (member.value, member.name.lower()):
-                return member
-        raise ValueError(f"unknown rendering {text!r}")
+        return parse_enum(cls, text, "rendering")
 
 
 @dataclass(frozen=True)
@@ -245,8 +246,8 @@ def validate_instance(instance: TaskInstance) -> None:
         else:
             symbols = _SYMBOLS[task]
         payload = instance.elements
-    bad = [e for e in payload if e not in symbols]
-    if bad:
+    if not symbols.issuperset(payload):
+        bad = [e for e in payload if e not in symbols]
         raise MalformedInstance(f"symbols {bad!r} outside alphabet for {task.value}")
 
 
@@ -289,7 +290,7 @@ def generate_instance(
         pool = ALPHABETS[task]
         if letter not in pool:
             raise ValueError(f"target letter must be one of {pool!r}")
-        elements = [rng.choice(pool) for _ in range(length)]
+        elements = rng.choices(pool, k=length)
         want_even = rng.random() < 0.5
         if (elements.count(letter) % 2 == 0) != want_even:
             i = rng.randrange(length)
@@ -297,17 +298,20 @@ def generate_instance(
         params = {"letter": letter}
     elif task is TaskId.EQUAL_NUMBER:
         half = length // 2
-        base = ["0"] * half + ["1"] * half
-        want_dyck = rng.random() < 0.5
-        while True:
-            elements = base[:]
+        if rng.random() < 0.5:
+            steps = ["0"] * half + ["1"] * (half + 1)
+            rng.shuffle(steps)
+            elements = dyck_rotation(steps)
+        else:
+            # rejection stays cheap here: a shuffle is accepted with probability half/(half+1)
+            elements = ["0"] * half + ["1"] * half
             rng.shuffle(elements)
-            if _is_prefix_balanced(elements) == want_dyck:
-                break
+            while _is_prefix_balanced(elements):
+                rng.shuffle(elements)
     elif task is TaskId.PALINDROME_VERIFICATION:
         half = length // 2
         pool = ALPHABETS[task]
-        left = [rng.choice(pool) for _ in range(half)]
+        left = rng.choices(pool, k=half)
         right = left[::-1]
         if rng.random() < 0.5:
             j = rng.randrange(half)
@@ -316,15 +320,31 @@ def generate_instance(
         elements = left + [PALINDROME_MARKER] + right
     elif task is TaskId.DUPLICATE_LIST:
         pool = alphabet or ALPHABETS[task]
-        elements = [rng.choice(pool) for _ in range(length)]
+        elements = rng.choices(pool, k=length)
         params = {"alphabet": pool}
     else:
         pool = ALPHABETS[task]
-        elements = [rng.choice(pool) for _ in range(length)]
+        elements = rng.choices(pool, k=length)
         if task is TaskId.CYCLE_NAVIGATION:
             params = {"modulus": 5}
 
     return make_instance(task, elements, params, seed_path)
+
+
+def dyck_rotation(steps: Sequence[str]) -> list[str]:
+    """Map h "0"s and h + 1 "1"s to a balanced, prefix-balanced list of 2h symbols.
+
+    Cycle lemma (Dvoretzky & Motzkin, 1947): with "0" as +1 and "1" as -1
+    the steps sum to -1, and exactly one of their 2h + 1 rotations keeps
+    every proper prefix sum non-negative: the one starting just after the
+    first position where the prefix sum reaches its minimum.  That rotation
+    ends in "1"; dropping it leaves a Dyck word.  Each Dyck word is reached
+    from exactly 2h + 1 arrangements, so a uniformly shuffled ``steps``
+    gives a uniformly drawn Dyck word.
+    """
+    depths = list(itertools.accumulate(1 if s == "0" else -1 for s in steps))
+    cut = depths.index(min(depths)) + 1
+    return [*steps[cut:], *steps[: cut - 1]]
 
 
 def _is_prefix_balanced(elements: Sequence[str]) -> bool:

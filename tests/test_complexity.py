@@ -129,6 +129,11 @@ class TestCensus:
         b = answer_space_census(TaskId.SORTING_LIST, 5)
         assert a == b
 
+    @pytest.mark.parametrize("task", [t for t in TaskId if ANSWER_KINDS[t] is not AnswerKind.TEXT])
+    def test_strings_refused_for_non_text_answers(self, task):
+        with pytest.raises(InvalidParams):
+            answer_space_census(task, 4, model=CandidateModel.ALPHABET_STRINGS)
+
     def test_generated_instance_census(self):
         inst = generate_instance(TaskId.CYCLE_NAVIGATION, 10, seed_path="census/cn")
         census = answer_space_census(TaskId.CYCLE_NAVIGATION, instance=inst)

@@ -121,7 +121,7 @@ class TestAbort:
             run_experiment(spec, backend, run_dir, workers=self.WORKERS)
         assert backend.calls <= 10 + self.WORKERS
         records = load_records(run_dir)
-        assert len(records) < 10
+        assert len(records) == backend.calls - 1
         assert all(r.error is None and r.verdict is Verdict.CORRECT for r in records.values())
         self.assert_resumes_to_clean_table(spec, run_dir, tmp_path)
 
@@ -136,8 +136,26 @@ class TestAbort:
         with pytest.raises(KeyboardInterrupt):
             run_experiment(spec, backend, run_dir, workers=self.WORKERS, progress=interrupt_at_ten)
         assert backend.calls <= 10 + self.WORKERS
-        assert len(load_records(run_dir)) == 10
+        assert len(load_records(run_dir)) == backend.calls
         self.assert_resumes_to_clean_table(spec, run_dir, tmp_path)
+
+
+class TestAbortOneWorker(TestAbort):
+    """The same aborts where the calls run in the calling thread."""
+
+    WORKERS = 1
+
+    def test_calls_run_in_calling_thread(self, tmp_path):
+        seen = set()
+
+        class ThreadRecordingBackend(OracleEchoBackend):
+            def complete(self, prompt, cfg, context=None):
+                seen.add(threading.get_ident())
+                return super().complete(prompt, cfg, context)
+
+        run_experiment(small_spec(), ThreadRecordingBackend(), tmp_path / "run", workers=self.WORKERS)
+        assert seen == {threading.get_ident()}
+        assert len(load_records(tmp_path / "run")) == 40
 
 
 class TestRunExperiment:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from cotbench.tasks import (
     ALPHABETS,
@@ -20,6 +23,7 @@ from cotbench.tasks import (
     UnsupportedLength,
     brute_force_oracle,
     dump_instances,
+    dyck_rotation,
     generate_instance,
     instance_record,
     iter_all_instances,
@@ -153,6 +157,36 @@ class TestGenerators:
         for _ in range(50):
             inst = generate_instance(TaskId.EQUAL_NUMBER, 12, rng)
             assert inst.elements.count("0") == inst.elements.count("1")
+
+    @pytest.mark.parametrize("half", [1, 2, 3, 4])
+    def test_dyck_rotation_is_exact_cycle_lemma(self, half):
+        # every arrangement of half "0"s and half + 1 "1"s
+        size = 2 * half + 1
+        reached = Counter()
+        for zeros in itertools.combinations(range(size), half):
+            steps = ["1"] * size
+            for z in zeros:
+                steps[z] = "0"
+            word = dyck_rotation(steps)
+            inst = make_instance(TaskId.EQUAL_NUMBER, word)
+            assert brute_force_oracle(TaskId.EQUAL_NUMBER, inst).value is True
+            reached[tuple(word)] += 1
+        assert len(reached) == comb(2 * half, half) // (half + 1)  # the Catalan number
+        assert set(reached.values()) == {size}
+
+    def test_equal_number_classes_are_uniform(self):
+        rng = rng_for("en/uniform")
+        by_class = {True: Counter(), False: Counter()}
+        for _ in range(20_000):
+            inst = generate_instance(TaskId.EQUAL_NUMBER, 6, rng)
+            by_class[oracle_solve(TaskId.EQUAL_NUMBER, inst).value][inst.elements] += 1
+        balanced = set(itertools.permutations("000111"))
+        dyck_words = {w for w in balanced if solve(TaskId.EQUAL_NUMBER, w)}
+        assert len(dyck_words) == 5
+        for dyck, words in ((True, dyck_words), (False, balanced - dyck_words)):
+            counts = by_class[dyck]
+            assert set(counts) == words
+            assert scipy_stats.chisquare(list(counts.values())).pvalue > 0.001
 
     def test_duplicate_list_custom_alphabet(self):
         inst = generate_instance(TaskId.DUPLICATE_LIST, 8, rng_for("dl"), alphabet="xyz")
