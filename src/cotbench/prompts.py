@@ -21,7 +21,6 @@ from cotbench.tasks import (
     InputRendering,
     TaskId,
     TaskInstance,
-    expected_answer_kind,
     parse_enum,
     render_input,
 )
@@ -164,7 +163,6 @@ __all__ = [
     "SupervisionKind",
     "TaskMismatch",
     "all_templates",
-    "expected_answer_kind",
     "get_template",
     "load_manifest",
     "render_prompt",

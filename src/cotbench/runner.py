@@ -19,6 +19,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -41,6 +42,7 @@ from cotbench.prompts import SupervisionKind, get_template, render_prompt
 from cotbench.tasks import (
     ANSWER_KINDS,
     InputRendering,
+    MalformedInstance,
     OracleAnswer,
     TaskId,
     TaskInstance,
@@ -96,7 +98,7 @@ class CellKey:
     kind: SupervisionKind
     rendering: InputRendering
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"{self.task.value}.{self.length}.{self.kind.value}.{self.rendering.value}"
 
@@ -114,12 +116,20 @@ class CellKey:
 
     @staticmethod
     def from_json(data: dict) -> "CellKey":
-        return CellKey(
-            TaskId.parse(data["task"]),
-            int(data["length"]),
-            SupervisionKind.parse(data["kind"]),
-            InputRendering.parse(data["rendering"]),
-        )
+        """The shared key of the cell a record names; equal fields give the same object."""
+        return _cell_key(data["task"], data["length"], data["kind"], data["rendering"])
+
+
+# The records of one cell file name one cell, so the most recent keys are
+# all a decode needs; the bound caps what files naming many cells can add.
+@lru_cache(maxsize=1024)
+def _cell_key(task, length, kind, rendering) -> CellKey:
+    return CellKey(
+        TaskId.parse(task),
+        int(length),
+        SupervisionKind.parse(kind),
+        InputRendering.parse(rendering),
+    )
 
 
 @dataclass
@@ -257,36 +267,45 @@ class CallRecord:
 
     @staticmethod
     def from_json(data: dict) -> "CallRecord":
-        cell = CellKey.from_json(data)
-        kind = ANSWER_KINDS[cell.task]
-        instance = make_instance(
-            cell.task,
-            data["instance"]["elements"],
-            data["instance"].get("params") or {},
-            data["instance"].get("seed_path", ""),
-        )
-        oracle = OracleAnswer.from_json(kind, data["oracle"])
-        raw = data["extraction"]
-        extraction: ExtractedAnswer | ExtractionFailure
-        if raw.get("ok"):
-            extraction = ExtractedAnswer(raw["raw_span"], raw["value"], kind, raw["position"])
-        else:
-            extraction = ExtractionFailure(FailureReason(raw["reason"]), raw.get("detail", ""))
-        return CallRecord(
-            cell=cell,
-            index=int(data["index"]),
-            instance=instance,
-            oracle=oracle,
-            prompt_sha256=data["prompt_sha256"],
-            transcript=data["transcript"],
-            extraction=extraction,
-            verdict=Verdict(data["verdict"]),
-            error=data.get("error"),
-            error_detail=data.get("error_detail", ""),
-            latency_s=data.get("latency_s", 0.0),
-            attempts=data.get("attempts", 1),
-            timestamp=data.get("timestamp", ""),
-        )
+        """Decode one record; ValueError, KeyError or MalformedInstance if ``data`` is not one."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a record is a JSON object, not {type(data).__name__}")
+        try:
+            cell = CellKey.from_json(data)
+            kind = ANSWER_KINDS[cell.task]
+            instance = make_instance(
+                cell.task,
+                data["instance"]["elements"],
+                data["instance"].get("params") or {},
+                data["instance"].get("seed_path", ""),
+            )
+            oracle = OracleAnswer.from_json(kind, data["oracle"])
+            raw = data["extraction"]
+            extraction: ExtractedAnswer | ExtractionFailure
+            if not isinstance(raw, dict):
+                raise ValueError(f"extraction is a JSON object, not {type(raw).__name__}")
+            if raw.get("ok"):
+                extraction = ExtractedAnswer(raw["raw_span"], raw["value"], kind, raw["position"])
+            else:
+                extraction = ExtractionFailure(FailureReason(raw["reason"]), raw.get("detail", ""))
+            return CallRecord(
+                cell=cell,
+                index=int(data["index"]),
+                instance=instance,
+                oracle=oracle,
+                prompt_sha256=data["prompt_sha256"],
+                transcript=data["transcript"],
+                extraction=extraction,
+                verdict=Verdict(data["verdict"]),
+                error=data.get("error"),
+                error_detail=data.get("error_detail", ""),
+                latency_s=data.get("latency_s", 0.0),
+                attempts=data.get("attempts", 1),
+                timestamp=data.get("timestamp", ""),
+            )
+        except TypeError as exc:
+            # a field of the wrong JSON type, such as a list where text belongs
+            raise ValueError(f"malformed record: {exc}") from exc
 
 
 def rescore(record: CallRecord) -> Verdict:
@@ -357,7 +376,12 @@ def _cell_file(run_dir: Path, cell: CellKey) -> Path:
 
 
 def _load_cell_records(path: Path) -> dict[int, CallRecord]:
-    """Parse one cell file, skipping truncated lines and duplicate indices."""
+    """Parse one cell file, skipping lines that are not records.
+
+    A torn line, JSON that is not a record and a malformed instance are all
+    skipped.  Of several records for one index the last one wins, so a call
+    re-issued on resume replaces the error it was re-issued for.
+    """
     records: dict[int, CallRecord] = {}
     if not path.exists():
         return records
@@ -368,9 +392,9 @@ def _load_cell_records(path: Path) -> dict[int, CallRecord]:
                 continue
             try:
                 record = CallRecord.from_json(json.loads(line))
-            except (ValueError, KeyError):
+            except (ValueError, KeyError, MalformedInstance):
                 continue
-            records.setdefault(record.index, record)
+            records[record.index] = record
     return records
 
 
@@ -396,11 +420,12 @@ def run_experiment(
 ) -> Path:
     """Execute (or resume) every cell of the spec against the backend.
 
-    Backend errors are recorded on the affected call, except AuthError;
-    spec problems abort before any call is issued.  An exception (AuthError
-    included) or an interrupt cancels the calls not yet started, waits for
-    those in flight, saves the record of every call that succeeded and is
-    raised again.  With one worker the calls run in the calling thread.
+    Backend errors are recorded on the affected call, except AuthError,
+    and a resume issues those calls again; spec problems abort before any
+    call is issued.  An exception (AuthError included) or an interrupt
+    cancels the calls not yet started, waits for those in flight, saves the
+    record of every call that succeeded and is raised again.  With one
+    worker the calls run in the calling thread.
     """
     spec.validate()
     run_dir = Path(out_dir)
@@ -420,7 +445,9 @@ def run_experiment(
     for cell in cells:
         done = _load_cell_records(_cell_file(run_dir, cell))
         for index in range(spec.instances_per_cell):
-            if index not in done:
+            record = done.get(index)
+            # a call that ended in a backend error is issued again
+            if record is None or record.error is not None:
                 pending.append((cell, index))
 
     total = len(cells) * spec.instances_per_cell

@@ -16,6 +16,7 @@ import random
 import string
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Iterator, Sequence
 
 
@@ -35,11 +36,32 @@ class InstanceTooLarge(TaskError):
     """Instance exceeds the size bound of a naive reference solver."""
 
 
-def parse_enum(cls: type[Enum], text: str, noun: str) -> Enum:
-    """The member of ``cls`` whose value or lower-cased name is ``text``."""
-    text = text.strip().lower()
+@cache
+def _enum_table(cls: type[Enum]) -> dict:
+    """Each text a member of ``cls`` parses from, built once per class."""
+    table = {}
     for member in cls:
-        if text in (member.value, member.name.lower()):
+        for key in (member.value, member.name.lower()):
+            # only keys that stripped, lower-cased text can equal, so an exact
+            # hit gives what the normalised lookup would; as in a scan of the
+            # members in order, the first member to claim a key wins
+            if isinstance(key, str) and key == key.strip().lower():
+                table.setdefault(key, member)
+    return table
+
+
+def parse_enum(cls: type[Enum], text: str, noun: str) -> Enum:
+    """The member of ``cls`` whose value or lower-cased name is ``text``.
+
+    Case and surrounding whitespace are ignored.
+    """
+    table = _enum_table(cls)
+    if isinstance(text, str):
+        member = table.get(text)
+        if member is None:
+            text = text.strip().lower()
+            member = table.get(text)
+        if member is not None:
             return member
     raise ValueError(f"unknown {noun} {text!r}")
 

@@ -9,7 +9,7 @@ import time
 import pytest
 from scipy import stats as scipy_stats
 
-from cotbench.backends import AuthError, BackendError, CorruptingBackend, OracleEchoBackend
+from cotbench.backends import AuthError, BackendError, CorruptingBackend, OracleEchoBackend, RateLimited
 from cotbench.extraction import Verdict
 from cotbench.prompts import SupervisionKind
 from cotbench.runner import (
@@ -191,6 +191,73 @@ class TestRunExperiment:
         for (label, i) in records:
             per_cell.setdefault(label, set()).add(i)
         assert all(v == set(range(10)) for v in per_cell.values())
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "[]",
+            "null",
+            "7",
+            {"task": 5},
+            {"task": ["pc"]},
+            {"instance": {"elements": ["z"] * 20, "params": {}, "seed_path": ""}},
+        ],
+        ids=["list", "null", "number", "int-task", "list-task", "bad-symbol"],
+    )
+    def test_resume_and_report_skip_json_that_is_no_record(self, tmp_path, bad):
+        spec = small_spec()
+        run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
+        before = aggregate(run_dir, write=False).to_json()
+        cell_file = sorted((run_dir / "records").glob("*.jsonl"))[0]
+        if isinstance(bad, dict):
+            first = json.loads(cell_file.read_text().split("\n")[0])
+            bad = json.dumps({**first, **bad})
+        with open(cell_file, "a") as fh:
+            fh.write(bad + "\n")
+        backend = StallingBackend()
+        run_experiment(spec, backend, run_dir)
+        assert backend.calls == 0
+        assert aggregate(run_dir, write=False).to_json() == before
+
+    def test_resume_reissues_errored_calls(self, tmp_path):
+        class FlakyBackend(OracleEchoBackend):
+            def __init__(self, failures):
+                self.calls = 0
+                self.failures = failures
+
+            def complete(self, prompt, cfg, context=None):
+                self.calls += 1
+                if self.calls <= self.failures:
+                    raise RateLimited("429 after retries", attempts=3)
+                return super().complete(prompt, cfg, context)
+
+        spec = small_spec(kinds=[SupervisionKind.BASE], instances_per_cell=20)
+        run_dir = run_experiment(spec, FlakyBackend(failures=5), tmp_path / "run")
+        assert sum(r.error is not None for r in load_records(run_dir).values()) == 5
+
+        healthy = FlakyBackend(failures=0)
+        run_experiment(spec, healthy, run_dir)
+        assert healthy.calls == 5
+        (cell,) = aggregate(run_dir, write=False).cells
+        assert (cell.n, cell.n_correct) == (20, 20)
+        records = load_records(run_dir)
+        assert len(records) == 20 and all(r.error is None for r in records.values())
+
+        # a resume with every record done issues nothing
+        again = FlakyBackend(failures=0)
+        run_experiment(spec, again, run_dir)
+        assert again.calls == 0
+
+    def test_records_of_a_cell_share_one_key(self, tmp_path):
+        run_dir = run_experiment(small_spec(), OracleEchoBackend(), tmp_path / "run")
+        by_label = {}
+        for (label, _), record in load_records(run_dir).items():
+            by_label.setdefault(label, []).append(record.cell)
+        assert len(by_label) == 4
+        for label, cells in by_label.items():
+            assert len(cells) == 10
+            assert all(cell is cells[0] for cell in cells)
+            assert cells[0].label == label
 
     def test_resume_rejects_different_spec(self, tmp_path):
         run_dir = run_experiment(small_spec(), OracleEchoBackend(), tmp_path / "run")

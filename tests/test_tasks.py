@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from enum import Enum, EnumMeta
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from cotbench.prompts import SupervisionKind
 from cotbench.tasks import (
     ALPHABETS,
     AnswerKind,
@@ -29,6 +31,7 @@ from cotbench.tasks import (
     iter_all_instances,
     make_instance,
     oracle_solve,
+    parse_enum,
     parse_instance_record,
     render_input,
     rng_for,
@@ -372,3 +375,61 @@ class TestDumpFormat:
             OracleAnswer.from_json(AnswerKind.INT, True)
         with pytest.raises(ValueError):
             OracleAnswer.from_json(AnswerKind.BOOL, 1)
+
+
+def scan_parse_enum(cls, text, noun):
+    """parse_enum as a scan of the members: the reference for the table."""
+    text = text.strip().lower()
+    for member in cls:
+        if text in (member.value, member.name.lower()):
+            return member
+    raise ValueError(f"unknown {noun} {text!r}")
+
+
+def parse_outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestParseEnum:
+    NOUNS = {TaskId: "task", SupervisionKind: "supervision kind", InputRendering: "rendering"}
+
+    @pytest.mark.parametrize("cls", list(NOUNS), ids=lambda c: c.__name__)
+    def test_table_matches_scan(self, cls):
+        noun = self.NOUNS[cls]
+        for member in cls:
+            texts = [member.value, member.name, member.name.lower(), f" \t{member.value.upper()}  ", "nonsense"]
+            for text in texts:
+                expected = parse_outcome(scan_parse_enum, cls, text, noun)
+                assert parse_outcome(cls.parse, text) == expected
+                assert parse_outcome(parse_enum, cls, text, noun) == expected
+        assert TaskId.parse("pc") is TaskId.PARITY_CHECK
+        with pytest.raises(ValueError, match="unknown task 'nonsense'"):
+            TaskId.parse(" NONSENSE ")
+
+    @pytest.mark.parametrize("text", [5, None, ["pc"], {"pc": 1}], ids=["int", "null", "list", "object"])
+    def test_non_text_is_value_error(self, text):
+        with pytest.raises(ValueError, match="unknown task"):
+            TaskId.parse(text)
+
+    def test_members_are_walked_once_per_class(self):
+        class CountingMeta(EnumMeta):
+            walks = 0
+
+            def __iter__(cls):
+                CountingMeta.walks += 1
+                return super().__iter__()
+
+        class Colour(Enum, metaclass=CountingMeta):
+            RED = "red"
+            DARK_BLUE = "blue"
+
+        CountingMeta.walks = 0
+        for _ in range(50):
+            assert parse_enum(Colour, "red", "colour") is Colour.RED
+            assert parse_enum(Colour, " Dark_Blue ", "colour") is Colour.DARK_BLUE
+            with pytest.raises(ValueError):
+                parse_enum(Colour, "green", "colour")
+        assert CountingMeta.walks == 1
