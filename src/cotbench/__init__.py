@@ -7,6 +7,7 @@ scores the concluding answers, and aggregates accuracy grids.
 
 from cotbench.backends import (
     CallContext,
+    Completion,
     CompletionConfig,
     CorruptingBackend,
     LiveBackend,
@@ -58,7 +59,6 @@ from cotbench.tasks import (
     TaskInstance,
     TaskLevel,
     brute_force_oracle,
-    expected_answer_kind,
     generate_instance,
     make_instance,
     oracle_solve,
@@ -74,6 +74,7 @@ __all__ = [
     "CallRecord",
     "CandidateModel",
     "CellKey",
+    "Completion",
     "CompletionConfig",
     "CorruptingBackend",
     "DEFAULT_LENGTHS",
@@ -100,7 +101,6 @@ __all__ = [
     "brute_force_oracle",
     "compare_runs",
     "density_report",
-    "expected_answer_kind",
     "extract_result",
     "format_result",
     "generate_instance",

@@ -1,7 +1,8 @@
 """Completion backends: one live HTTP client plus synthetic stand-ins.
 
-Every backend exposes the same call shape: prompt text in, transcript text
-out.  The synthetic backends (oracle echo, corrupting, replay) exist so
+Every backend exposes the same call shape: prompt text in, a ``Completion``
+out, which carries the transcript and the attempts spent on it.  The
+synthetic backends (oracle echo, corrupting, replay) exist so
 the whole harness can be exercised and validated offline; the live
 backend speaks the common chat-completions JSON shape against whatever
 base URL it is pointed at.
@@ -18,6 +19,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import requests
 
@@ -106,21 +108,25 @@ class CallContext:
     oracle: OracleAnswer
 
 
+class Completion(NamedTuple):
+    """What one call returns: the transcript and the attempts spent on it."""
+
+    text: str
+    attempts: int = 1
+
+
 class ModelBackend:
-    """Interface: complete(prompt, cfg) -> transcript text, or raise a BackendError."""
+    """Interface: complete(prompt, cfg, context) -> Completion, or raise a BackendError.
+
+    ``complete`` is the one call method; the runner issues every call through it.
+    """
 
     name = "abstract"
 
     def complete(
         self, prompt: str, cfg: CompletionConfig, context: CallContext | None = None
-    ) -> str:
+    ) -> Completion:
         raise NotImplementedError
-
-    def complete_with_meta(
-        self, prompt: str, cfg: CompletionConfig, context: CallContext | None = None
-    ) -> tuple[str, int]:
-        """Like complete, additionally reporting how many attempts were spent."""
-        return self.complete(prompt, cfg, context), 1
 
 
 def _echo_transcript(oracle: OracleAnswer) -> str:
@@ -138,7 +144,7 @@ class OracleEchoBackend(ModelBackend):
     def complete(self, prompt, cfg, context=None):
         if context is None:
             raise ProtocolError("echo backend needs a bound instance and oracle")
-        return _echo_transcript(context.oracle)
+        return Completion(_echo_transcript(context.oracle))
 
 
 def _transpose(text: str) -> str:
@@ -184,7 +190,7 @@ class CorruptingBackend(ModelBackend):
                 answer = OracleAnswer.of_int(answer.value + rng.choice((-1, 1)))
             else:
                 answer = OracleAnswer.of_text(_transpose(answer.value))
-        return _echo_transcript(answer)
+        return Completion(_echo_transcript(answer))
 
 
 class TranscriptStore:
@@ -251,7 +257,7 @@ class ReplayBackend(ModelBackend):
         self.store = store
 
     def complete(self, prompt, cfg, context=None):
-        return self.store.get(prompt, cfg)
+        return Completion(self.store.get(prompt, cfg))
 
 
 class _RateLimiter:
@@ -278,7 +284,7 @@ class _RateLimiter:
 
 
 class LiveBackend(ModelBackend):
-    """Chat-completions HTTP client with retries, a concurrency cap, and optional recording.
+    """Chat-completions HTTP client with retries, a rate limit, and optional recording.
 
     Sends a single user message per call and returns the assistant text.
     Retries transport failures, 429s, and 5xx responses per the config's
@@ -291,7 +297,6 @@ class LiveBackend(ModelBackend):
         self,
         base_url: str | None = None,
         api_key: str | None = None,
-        max_concurrency: int = 8,
         requests_per_minute: int | None = None,
         record_store: TranscriptStore | None = None,
         session: requests.Session | None = None,
@@ -300,15 +305,11 @@ class LiveBackend(ModelBackend):
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if not self.api_key:
             raise AuthError(f"no API key: set {API_KEY_ENV}")
-        self._semaphore = threading.BoundedSemaphore(max_concurrency)
         self._limiter = _RateLimiter(requests_per_minute)
         self.record_store = record_store
         self._session = session or requests.Session()
 
     def complete(self, prompt, cfg, context=None):
-        return self.complete_with_meta(prompt, cfg, context)[0]
-
-    def complete_with_meta(self, prompt, cfg, context=None):
         body = {
             "model": cfg.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -324,17 +325,14 @@ class LiveBackend(ModelBackend):
                 delay = cfg.backoff_s[min(attempt - 2, len(cfg.backoff_s) - 1)]
                 time.sleep(delay)
             self._limiter.acquire()
-            with self._semaphore:
-                try:
-                    response = self._session.post(
-                        url, json=body, headers=headers, timeout=cfg.timeout_s
-                    )
-                except requests.exceptions.Timeout:
-                    last_error = Timeout(f"request timed out after {cfg.timeout_s}s", attempt)
-                    continue
-                except requests.exceptions.RequestException as exc:
-                    last_error = ProtocolError(f"transport failure: {exc}", attempt)
-                    continue
+            try:
+                response = self._session.post(url, json=body, headers=headers, timeout=cfg.timeout_s)
+            except requests.exceptions.Timeout:
+                last_error = Timeout(f"request timed out after {cfg.timeout_s}s", attempt)
+                continue
+            except requests.exceptions.RequestException as exc:
+                last_error = ProtocolError(f"transport failure: {exc}", attempt)
+                continue
             if response.status_code in (401, 403):
                 raise AuthError(f"endpoint rejected credentials ({response.status_code})", attempt)
             if response.status_code == 429:
@@ -353,7 +351,7 @@ class LiveBackend(ModelBackend):
                 raise ProtocolError("completion payload had no message content", attempt)
             if self.record_store is not None:
                 self.record_store.put(prompt, cfg, transcript)
-            return transcript, attempt
+            return Completion(transcript, attempt)
         assert last_error is not None
         raise last_error
 
@@ -371,14 +369,9 @@ def make_backend(spec: dict) -> ModelBackend:
             raise ValueError("replay backend needs a 'store' path")
         return ReplayBackend(TranscriptStore.load(path))
     if kind == "live":
-        store = None
-        if spec.get("record"):
-            store = TranscriptStore()
         return LiveBackend(
             base_url=spec.get("base_url"),
             api_key=spec.get("api_key"),
-            max_concurrency=spec.get("max_concurrency", 8),
             requests_per_minute=spec.get("requests_per_minute"),
-            record_store=store,
         )
     raise ValueError(f"unknown backend kind {kind!r}")

@@ -20,7 +20,7 @@ from cotbench.complexity import (
     density_report,
     template_count,
 )
-from cotbench.prompts import SupervisionKind, get_template, render_prompt
+from cotbench.prompts import PromptError, SupervisionKind, get_template, render_prompt
 from cotbench.runner import (
     DEFAULT_LENGTHS,
     ExperimentSpec,
@@ -34,13 +34,10 @@ from cotbench.tasks import (
     InputRendering,
     TaskId,
     UnsupportedLength,
-    brute_force_oracle,
     generate_instance,
     instance_record,
-    iter_all_instances,
-    oracle_solve,
+    oracle_disagreements,
     render_input,
-    rng_for,
 )
 
 EXIT_OK = 0
@@ -147,28 +144,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate_oracles(args) -> int:
-    exhaustive_tasks = [TaskId.PARITY_CHECK, TaskId.EVEN_PAIRS, TaskId.EQUAL_NUMBER, TaskId.DUPLICATE_LIST]
-    disagreements = 0
-    checked = 0
-    for task in TaskId:
-        if task in exhaustive_tasks:
-            for length in range(1, args.max_length + 1):
-                for inst in iter_all_instances(task, length):
-                    checked += 1
-                    if oracle_solve(task, inst) != brute_force_oracle(task, inst):
-                        disagreements += 1
-                        print(f"DISAGREE {task.value} {inst.elements}", file=sys.stderr)
-        else:
-            rng = rng_for(f"validate/{args.seed}/{task.value}")
-            for _ in range(args.samples):
-                length = rng.choice([2, 4, 6, 8, 10, 12, 14, 16, 18, 20])
-                inst = generate_instance(task, length, rng)
-                checked += 1
-                if oracle_solve(task, inst) != brute_force_oracle(task, inst):
-                    disagreements += 1
-                    print(f"DISAGREE {task.value} {inst.elements}", file=sys.stderr)
-    print(f"checked {checked} instances, {disagreements} disagreements")
-    return EXIT_OK if disagreements == 0 else EXIT_FAILURE
+    checked, bad = oracle_disagreements(args.max_length, args.samples, f"validate/{args.seed}")
+    for inst in bad:
+        print(f"DISAGREE {inst.task.value} {inst.elements}", file=sys.stderr)
+    print(f"checked {checked} instances, {len(bad)} disagreements")
+    return EXIT_FAILURE if bad else EXIT_OK
 
 
 def cmd_run(args) -> int:
@@ -286,10 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except BackendError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except ComplexityError as exc:
+    except (BackendError, ComplexityError, PromptError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

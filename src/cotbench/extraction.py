@@ -49,9 +49,6 @@ class ExtractedAnswer:
     kind: AnswerKind
     position: int
 
-    def as_oracle(self) -> OracleAnswer:
-        return OracleAnswer(self.kind, self.value)
-
 
 @dataclass(frozen=True)
 class ExtractionFailure:

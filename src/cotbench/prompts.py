@@ -60,14 +60,6 @@ class SupervisionKind(Enum):
         }[self]
 
 
-def required_placeholders(task: TaskId) -> frozenset[str]:
-    if task is TaskId.PARITY_CHECK:
-        return frozenset({"letter", "list"})
-    if task is TaskId.DUPLICATE_LIST:
-        return frozenset({"string"})
-    return frozenset({"list"})
-
-
 @dataclass(frozen=True)
 class PromptTemplate:
     task: TaskId
@@ -103,6 +95,10 @@ def load_manifest() -> dict:
 
 @lru_cache(maxsize=1)
 def _registry() -> dict[tuple[TaskId, SupervisionKind], PromptTemplate]:
+    """The 36 templates, loaded once per process and refused if any drifted from the manifest."""
+    drifted = verify_manifest()
+    if drifted:
+        raise PromptError(f"templates drifted from the manifest: {', '.join(drifted)}")
     manifest = load_manifest()
     registry = {}
     for task in TaskId:
@@ -166,6 +162,5 @@ __all__ = [
     "get_template",
     "load_manifest",
     "render_prompt",
-    "required_placeholders",
     "verify_manifest",
 ]

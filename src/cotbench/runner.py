@@ -151,6 +151,12 @@ class ExperimentSpec:
             raise SpecError("spec lists no tasks")
         if self.instances_per_cell < 1:
             raise SpecError("instances_per_cell must be positive")
+        if self.workers < 1:
+            raise SpecError("workers must be positive")
+        if self.completion.max_attempts < 1:
+            raise SpecError("completion.max_attempts must be positive")
+        if not self.completion.backoff_s or min(self.completion.backoff_s) < 0:
+            raise SpecError("completion.backoff_s must list at least one delay, none negative")
         if len(set(self.tasks)) != len(self.tasks):
             raise SpecError("duplicate tasks in spec")
         for task in self.tasks:
@@ -308,12 +314,6 @@ class CallRecord:
             raise ValueError(f"malformed record: {exc}") from exc
 
 
-def rescore(record: CallRecord) -> Verdict:
-    """Recompute the verdict from the stored transcript and oracle alone."""
-    kind = ANSWER_KINDS[record.cell.task]
-    return score(extract_result(record.transcript, kind), record.oracle)
-
-
 def _build_instance(cell: CellKey, master_seed: int, index: int) -> TaskInstance:
     path = instance_seed_path(master_seed, cell, index)
     return generate_instance(cell.task, cell.length, seed_path=path)
@@ -331,11 +331,9 @@ def _execute_call(
     error = None
     error_detail = ""
     transcript = ""
-    attempts = 0
     try:
-        transcript, attempts = backend.complete_with_meta(
-            prompt.text, spec.completion, CallContext(instance, oracle)
-        )
+        completion = backend.complete(prompt.text, spec.completion, CallContext(instance, oracle))
+        transcript, attempts = completion.text, completion.attempts
     except AuthError:
         # a rejected key fails every call alike: stop the run, record nothing
         raise
@@ -375,16 +373,19 @@ def _cell_file(run_dir: Path, cell: CellKey) -> Path:
     return _records_dir(run_dir) / f"{cell.label}.jsonl"
 
 
-def _load_cell_records(path: Path) -> dict[int, CallRecord]:
-    """Parse one cell file, skipping lines that are not records.
+def _load_cell_records(path: Path, instances_per_cell: int) -> dict[int, CallRecord]:
+    """Parse one cell file, keeping only the records that belong in it.
 
     A torn line, JSON that is not a record and a malformed instance are all
-    skipped.  Of several records for one index the last one wins, so a call
-    re-issued on resume replaces the error it was re-issued for.
+    skipped, and so is a record of another cell or with an index outside
+    ``0 .. instances_per_cell - 1``.  Of several records for one index the
+    last one wins, so a call re-issued on resume replaces the error it was
+    re-issued for.
     """
     records: dict[int, CallRecord] = {}
     if not path.exists():
         return records
+    label = path.stem
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -394,20 +395,33 @@ def _load_cell_records(path: Path) -> dict[int, CallRecord]:
                 record = CallRecord.from_json(json.loads(line))
             except (ValueError, KeyError, MalformedInstance):
                 continue
-            records[record.index] = record
+            if record.cell.label == label and 0 <= record.index < instances_per_cell:
+                records[record.index] = record
     return records
 
 
+def _load_spec(run_dir: Path) -> ExperimentSpec | None:
+    spec_path = run_dir / "spec.json"
+    if not spec_path.exists():
+        return None
+    return ExperimentSpec.from_json(json.loads(spec_path.read_text(encoding="utf-8")))
+
+
 def load_records(run_dir: str | Path) -> dict[tuple[str, int], CallRecord]:
-    """All persisted records of a run, keyed and deduplicated by (cell, index)."""
+    """All records of a run that belong in their cell files, keyed by (cell, index).
+
+    Without a ``spec.json`` no index is out of range.
+    """
     run_dir = Path(run_dir)
     out: dict[tuple[str, int], CallRecord] = {}
     records_dir = _records_dir(run_dir)
     if not records_dir.is_dir():
         return out
+    spec = _load_spec(run_dir)
+    instances_per_cell = spec.instances_per_cell if spec else sys.maxsize
     for path in sorted(records_dir.glob("*.jsonl")):
-        for index, record in _load_cell_records(path).items():
-            out.setdefault((record.cell.label, index), record)
+        for index, record in _load_cell_records(path, instances_per_cell).items():
+            out[record.cell.label, index] = record
     return out
 
 
@@ -443,7 +457,7 @@ def run_experiment(
     cells = spec.cells()
     pending: list[tuple[CellKey, int]] = []
     for cell in cells:
-        done = _load_cell_records(_cell_file(run_dir, cell))
+        done = _load_cell_records(_cell_file(run_dir, cell), spec.instances_per_cell)
         for index in range(spec.instances_per_cell):
             record = done.get(index)
             # a call that ended in a backend error is issued again
@@ -565,9 +579,6 @@ class AccuracyTable:
     def to_json(self) -> dict:
         return {"cells": [c.to_json() for c in self.cells]}
 
-    def by_key(self) -> dict[tuple, CellStats]:
-        return {(c.cell.task, c.cell.length, c.cell.kind, c.cell.rendering): c for c in self.cells}
-
     def format_text(self) -> str:
         kinds = sorted({c.cell.kind for c in self.cells}, key=_KIND_ORDER.get)
         renderings = sorted({c.cell.rendering for c in self.cells}, key=lambda r: r.value)
@@ -622,9 +633,8 @@ def aggregate(run_dir: str | Path, write: bool = True) -> AccuracyTable:
         stats.append(CellStats(cell, n, n_correct, n_unparseable))
     stats.sort(key=lambda s: s.cell.sort_key)
 
-    spec_path = run_dir / "spec.json"
-    if spec_path.exists():
-        spec = ExperimentSpec.from_json(json.loads(spec_path.read_text(encoding="utf-8")))
+    spec = _load_spec(run_dir)
+    if spec:
         recorded = {s.cell.label for s in stats}
         for cell in spec.cells():
             if cell.label not in recorded:

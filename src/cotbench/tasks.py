@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import random
 import string
 from dataclasses import dataclass, field
@@ -378,10 +377,6 @@ def _is_prefix_balanced(elements: Sequence[str]) -> bool:
     return depth == 0
 
 
-def expected_answer_kind(task: TaskId) -> AnswerKind:
-    return ANSWER_KINDS[task]
-
-
 def oracle_solve(task: TaskId, instance: TaskInstance) -> OracleAnswer:
     """Compute the unique correct answer for an instance."""
     if instance.task is not task:
@@ -526,31 +521,15 @@ def render_input(instance: TaskInstance, rendering: InputRendering) -> str:
     return f"[{quoted}]"
 
 
-def instance_record(instance: TaskInstance, oracle: OracleAnswer | None = None) -> dict:
+def instance_record(instance: TaskInstance) -> dict:
     """Dump-file record for one instance (stable field order)."""
-    if oracle is None:
-        oracle = oracle_solve(instance.task, instance)
     return {
         "task": instance.task.value,
         "length": instance.length,
         "elements": list(instance.elements),
         "params": instance.params,
-        "oracle": oracle.to_json(),
+        "oracle": oracle_solve(instance.task, instance).to_json(),
     }
-
-
-def dump_instances(instances: Sequence[TaskInstance]) -> str:
-    """Serialize instances one JSON record per line."""
-    lines = [json.dumps(instance_record(i), ensure_ascii=False) for i in instances]
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def parse_instance_record(line: str) -> tuple[TaskInstance, OracleAnswer]:
-    rec = json.loads(line)
-    task = TaskId.parse(rec["task"])
-    instance = make_instance(task, rec["elements"], rec.get("params") or {})
-    oracle = OracleAnswer.from_json(ANSWER_KINDS[task], rec["oracle"])
-    return instance, oracle
 
 
 def iter_all_instances(task: TaskId, length: int) -> Iterator[TaskInstance]:
@@ -570,3 +549,34 @@ def iter_all_instances(task: TaskId, length: int) -> Iterator[TaskInstance]:
         return
     for combo in itertools.product(pool, repeat=length):
         yield make_instance(task, combo)
+
+
+# Tasks over two-letter alphabets, small enough to check at every instance.
+EXHAUSTIVE_TASKS = (TaskId.PARITY_CHECK, TaskId.EVEN_PAIRS, TaskId.EQUAL_NUMBER, TaskId.DUPLICATE_LIST)
+
+
+def oracle_disagreements(
+    max_length: int, samples: int, seed_path: str
+) -> tuple[int, list[TaskInstance]]:
+    """Cross-check oracle_solve against brute_force_oracle on every task.
+
+    The tasks in EXHAUSTIVE_TASKS are checked on every instance of lengths
+    1 to ``max_length``; each other task on ``samples`` generated instances
+    of even lengths up to 20, drawn from ``seed_path``.  Returns the number
+    of instances checked and those on which the two solvers disagree.
+    """
+    checked = 0
+    bad = []
+    for task in TaskId:
+        if task in EXHAUSTIVE_TASKS:
+            instances = (
+                inst for length in range(1, max_length + 1) for inst in iter_all_instances(task, length)
+            )
+        else:
+            rng = rng_for(f"{seed_path}/{task.value}")
+            instances = (generate_instance(task, rng.choice(range(2, 21, 2)), rng) for _ in range(samples))
+        for inst in instances:
+            checked += 1
+            if oracle_solve(task, inst) != brute_force_oracle(task, inst):
+                bad.append(inst)
+    return checked, bad

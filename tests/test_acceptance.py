@@ -27,16 +27,15 @@ from cotbench.runner import (
     run_experiment,
 )
 from cotbench.tasks import (
+    ALPHABETS,
     AnswerKind,
     InputRendering,
     OracleAnswer,
     TaskId,
-    brute_force_oracle,
     generate_instance,
-    iter_all_instances,
     make_instance,
+    oracle_disagreements,
     oracle_solve,
-    rng_for,
 )
 
 from conftest import CASE_EP_LIST, CASE_ORACLES, CASE_RL_LIST, CASE_STUDIES, load_case
@@ -58,16 +57,11 @@ SAMPLED_TASKS = tuple(t for t in TaskId if t not in EXHAUSTIVE_TASKS)
 
 def test_criterion_1_oracle_equivalence():
     with criterion(1, "oracle equivalence"):
-        for task in EXHAUSTIVE_TASKS:
-            for length in range(1, 13):
-                for inst in iter_all_instances(task, length):
-                    assert oracle_solve(task, inst) == brute_force_oracle(task, inst), inst
-        for task in SAMPLED_TASKS:
-            rng = rng_for(f"acceptance/{task.value}")
-            for _ in range(1000):
-                length = rng.choice([2, 4, 6, 8, 10, 12, 14, 16, 18, 20])
-                inst = generate_instance(task, length, rng)
-                assert oracle_solve(task, inst) == brute_force_oracle(task, inst), inst
+        checked, bad = oracle_disagreements(max_length=12, samples=1000, seed_path="acceptance")
+        assert bad == []
+        # every instance of lengths 1-12 of each exhaustive task, 1,000 of each other task
+        exhaustive = sum(len(ALPHABETS[task]) ** n for task in EXHAUSTIVE_TASKS for n in range(1, 13))
+        assert checked == exhaustive + 1000 * len(SAMPLED_TASKS) == 37_760
 
 
 def test_criterion_2_golden_case_studies():
@@ -197,12 +191,12 @@ class _AbortAfter(OracleEchoBackend):
         self.calls = 0
         self._lock = threading.Lock()
 
-    def complete_with_meta(self, prompt, cfg, context=None):
+    def complete(self, prompt, cfg, context=None):
         with self._lock:
             self.calls += 1
             if self.calls > self.limit:
                 raise KeyboardInterrupt
-        return super().complete_with_meta(prompt, cfg, context)
+        return super().complete(prompt, cfg, context)
 
 
 def test_criterion_5_determinism_and_resume(grid_dir):

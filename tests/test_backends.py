@@ -11,6 +11,7 @@ import pytest
 from cotbench.backends import (
     AuthError,
     CallContext,
+    Completion,
     CompletionConfig,
     CorruptingBackend,
     LiveBackend,
@@ -43,13 +44,13 @@ def context_for(task: TaskId, length: int, seed_path: str) -> CallContext:
 class TestOracleEcho:
     def test_transcript_concludes_with_oracle(self):
         ctx = context_for(TaskId.EVEN_PAIRS, 10, "echo/ep")
-        transcript = OracleEchoBackend().complete("prompt", CFG, ctx)
+        transcript = OracleEchoBackend().complete("prompt", CFG, ctx).text
         got = extract_result(transcript, AnswerKind.INT)
         assert got.value == ctx.oracle.value
 
     def test_text_answer_quoted(self):
         ctx = context_for(TaskId.REVERSE_LIST, 8, "echo/rl")
-        transcript = OracleEchoBackend().complete("prompt", CFG, ctx)
+        transcript = OracleEchoBackend().complete("prompt", CFG, ctx).text
         assert transcript.endswith("{'Result': '%s'}" % ctx.oracle.value)
 
     def test_requires_context(self):
@@ -60,15 +61,15 @@ class TestOracleEcho:
 class TestCorrupting:
     def test_p_zero_matches_echo(self):
         ctx = context_for(TaskId.SORTING_LIST, 8, "cor/sl")
-        echo = OracleEchoBackend().complete("p", CFG, ctx)
-        corrupt = CorruptingBackend(p=0.0).complete("p", CFG, ctx)
+        echo = OracleEchoBackend().complete("p", CFG, ctx).text
+        corrupt = CorruptingBackend(p=0.0).complete("p", CFG, ctx).text
         assert echo == corrupt
 
     def test_p_one_always_wrong(self):
         backend = CorruptingBackend(p=1.0, seed=3)
         for i in range(50):
             ctx = context_for(TaskId.PARITY_CHECK, 10, f"cor/pc/{i}")
-            transcript = backend.complete(f"prompt {i}", CFG, ctx)
+            transcript = backend.complete(f"prompt {i}", CFG, ctx).text
             verdict = score(extract_result(transcript, AnswerKind.BOOL), ctx.oracle)
             assert verdict is Verdict.INCORRECT
 
@@ -78,7 +79,7 @@ class TestCorrupting:
         calls = 10_000
         ctx = context_for(TaskId.PARITY_CHECK, 10, "cor/fixed")
         for i in range(calls):
-            transcript = backend.complete(f"prompt {i}", CFG, ctx)
+            transcript = backend.complete(f"prompt {i}", CFG, ctx).text
             if score(extract_result(transcript, AnswerKind.BOOL), ctx.oracle) is Verdict.CORRECT:
                 correct += 1
         assert 0.73 <= correct / calls <= 0.77
@@ -86,15 +87,15 @@ class TestCorrupting:
     def test_deterministic_per_prompt(self):
         backend = CorruptingBackend(p=0.5, seed=7)
         ctx = context_for(TaskId.EVEN_PAIRS, 10, "cor/det")
-        a = backend.complete("same prompt", CFG, ctx)
-        b = backend.complete("same prompt", CFG, ctx)
+        a = backend.complete("same prompt", CFG, ctx).text
+        b = backend.complete("same prompt", CFG, ctx).text
         assert a == b
 
     def test_corrupted_text_is_well_typed(self):
         backend = CorruptingBackend(p=1.0, seed=5)
         for i in range(30):
             ctx = context_for(TaskId.DUPLICATE_LIST, 6, f"cor/dl/{i}")
-            transcript = backend.complete(f"prompt {i}", CFG, ctx)
+            transcript = backend.complete(f"prompt {i}", CFG, ctx).text
             got = extract_result(transcript, AnswerKind.TEXT)
             assert got.value != ctx.oracle.value
             assert sorted(got.value) == sorted(ctx.oracle.value) or len(got.value) == len(ctx.oracle.value)
@@ -173,7 +174,7 @@ def stub_server():
 class TestLiveBackend:
     def test_success_returns_content(self, stub_server):
         backend = LiveBackend(base_url=stub_server, api_key="k")
-        transcript = backend.complete("hello", CFG)
+        transcript = backend.complete("hello", CFG).text
         assert transcript == "echo of: hello"
         sent = StubHandler.requests_seen[0]
         assert sent["model"] == "test-model"
@@ -201,8 +202,13 @@ class TestLiveBackend:
     def test_transient_500_then_success(self, stub_server):
         StubHandler.script = [(500, {}), (200, None)]
         backend = LiveBackend(base_url=stub_server, api_key="k")
-        assert backend.complete("hello", CFG) == "echo of: hello"
+        assert backend.complete("hello", CFG).text == "echo of: hello"
         assert len(StubHandler.requests_seen) == 2
+
+    def test_completion_counts_attempts(self, stub_server):
+        StubHandler.script = [(429, {}), (200, None)]
+        backend = LiveBackend(base_url=stub_server, api_key="k")
+        assert backend.complete("hello", CFG) == Completion("echo of: hello", attempts=2)
 
     def test_attempt_budget_respected(self, stub_server):
         StubHandler.script = [(500, {})] * 10
@@ -214,16 +220,60 @@ class TestLiveBackend:
     def test_recording(self, stub_server):
         store = TranscriptStore()
         backend = LiveBackend(base_url=stub_server, api_key="k", record_store=store)
-        transcript = backend.complete("record me", CFG)
+        transcript = backend.complete("record me", CFG).text
         assert store.get("record me", CFG) == transcript
         replay = ReplayBackend(store)
-        assert replay.complete("record me", CFG) == transcript
+        assert replay.complete("record me", CFG).text == transcript
 
     def test_malformed_payload(self, stub_server):
         StubHandler.script = [(200, {"nonsense": True})]
         backend = LiveBackend(base_url=stub_server, api_key="k")
         with pytest.raises(ProtocolError):
             backend.complete("hello", CFG)
+
+
+def small_live_spec(backend: dict):
+    from cotbench.prompts import SupervisionKind
+    from cotbench.runner import ExperimentSpec
+    from cotbench.tasks import InputRendering
+
+    return ExperimentSpec(
+        tasks=[TaskId.EVEN_PAIRS],
+        lengths={TaskId.EVEN_PAIRS: [10]},
+        kinds=list(SupervisionKind),
+        rendering=InputRendering.LIST_FIED,
+        instances_per_cell=2,
+        master_seed=3,
+        backend=backend,
+        completion=CompletionConfig(model="stub"),
+    )
+
+
+def test_runner_calls_an_overridden_complete(stub_server, tmp_path):
+    from cotbench.runner import run_experiment
+
+    class CountingLive(LiveBackend):
+        calls = 0
+
+        def complete(self, prompt, cfg, context=None):
+            type(self).calls += 1
+            return super().complete(prompt, cfg, context)
+
+    backend = CountingLive(base_url=stub_server, api_key="k")
+    run_experiment(small_live_spec({"kind": "live"}), backend, tmp_path / "r")
+    assert CountingLive.calls == len(StubHandler.requests_seen) == 8
+
+
+def test_spec_with_retired_live_keys_loads_and_resumes(stub_server, tmp_path):
+    from cotbench.runner import ExperimentSpec, load_records, run_experiment
+
+    # written before the live block lost its concurrency cap and in-memory recording
+    block = {"kind": "live", "base_url": stub_server, "api_key": "k", "max_concurrency": 2, "record": True}
+    spec = ExperimentSpec.from_json(small_live_spec(block).to_json())
+    run_dir = run_experiment(spec, make_backend(spec.backend), tmp_path / "r", workers=2)
+    assert len(load_records(run_dir)) == len(StubHandler.requests_seen) == 8
+    run_experiment(spec, make_backend(spec.backend), run_dir, workers=2)
+    assert len(StubHandler.requests_seen) == 8
 
 
 class ResultStubHandler(BaseHTTPRequestHandler):
@@ -314,7 +364,7 @@ def test_preseeded_case_transcripts_replay_to_expected_verdicts():
     for name, task_code, _, expected_value in CASE_STUDIES:
         task = TaskId.parse(task_code)
         kind = AnswerKind.INT if task_code == "ep" else AnswerKind.TEXT
-        transcript = replay.complete(prompts[name], CFG)
+        transcript = replay.complete(prompts[name], CFG).text
         extracted = extract_result(transcript, kind)
         verdict = score(extracted, OracleAnswer(kind, CASE_ORACLES[task_code]))
         want = Verdict.CORRECT if expected_value == CASE_ORACLES[task_code] else Verdict.INCORRECT

@@ -151,6 +151,13 @@ class TestRunReportCompare:
         assert code == 1
         assert "auth" in err.lower()
 
+    def test_spec_that_would_fail_mid_run_is_a_run_error(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path / "spec.json", completion={"backoff_s": []})
+        code, _, err = run_cli(capsys, "run", "--spec", str(spec), "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert "run error: completion.backoff_s" in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_spec_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "run", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "run"),

@@ -2,26 +2,35 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
+from cotbench import prompts
 from cotbench.prompts import (
+    PromptError,
     SupervisionKind,
     TaskMismatch,
     all_templates,
     get_template,
     load_manifest,
     render_prompt,
-    required_placeholders,
     verify_manifest,
 )
 from cotbench.tasks import (
+    ANSWER_KINDS,
     AnswerKind,
     InputRendering,
     TaskId,
-    expected_answer_kind,
     generate_instance,
     make_instance,
 )
+
+# The placeholders every template of a task uses; the other tasks use {"list"}.
+REQUIRED_PLACEHOLDERS = {
+    TaskId.PARITY_CHECK: {"letter", "list"},
+    TaskId.DUPLICATE_LIST: {"string"},
+}
 
 
 class TestRegistry:
@@ -38,7 +47,7 @@ class TestRegistry:
             for kind in SupervisionKind:
                 template = get_template(task, kind)
                 found = template.placeholders()
-                assert set(found) == set(required_placeholders(task)), (task, kind)
+                assert set(found) == REQUIRED_PLACEHOLDERS.get(task, {"list"}), (task, kind)
                 assert len(found) == len(set(found)), f"duplicate placeholder in {task} {kind}"
 
     def test_manifest_matches_files(self):
@@ -48,6 +57,23 @@ class TestRegistry:
         for name, entry in manifest.items():
             assert entry["source"].endswith("-prompts")
             assert len(entry["sha256"]) == 64
+
+    def test_drifted_template_is_refused(self, tmp_path, monkeypatch):
+        copy = tmp_path / "templates"
+        shutil.copytree(prompts.TEMPLATE_DIR, copy)
+        edited = copy / "ep.scot.prompt"
+        edited.write_text(edited.read_text(encoding="utf-8") + "One more step.\n", encoding="utf-8")
+        monkeypatch.setattr(prompts, "TEMPLATE_DIR", copy)
+        prompts.load_manifest.cache_clear()
+        prompts._registry.cache_clear()
+        try:
+            with pytest.raises(PromptError, match="ep.scot.prompt"):
+                get_template(TaskId.EVEN_PAIRS, SupervisionKind.BASE)
+        finally:
+            monkeypatch.undo()
+            prompts.load_manifest.cache_clear()
+            prompts._registry.cache_clear()
+        assert len(all_templates()) == 36
 
     def test_known_anchor_lines(self):
         assert "Think step by step." in get_template(TaskId.PARITY_CHECK, SupervisionKind.UNSUPERVISED_COT).body
@@ -117,9 +143,9 @@ class TestRendering:
             render_prompt(template, inst)
 
     def test_expected_answer_kind(self):
-        assert expected_answer_kind(TaskId.PARITY_CHECK) is AnswerKind.BOOL
-        assert expected_answer_kind(TaskId.EVEN_PAIRS) is AnswerKind.INT
-        assert expected_answer_kind(TaskId.REVERSE_LIST) is AnswerKind.TEXT
+        assert ANSWER_KINDS[TaskId.PARITY_CHECK] is AnswerKind.BOOL
+        assert ANSWER_KINDS[TaskId.EVEN_PAIRS] is AnswerKind.INT
+        assert ANSWER_KINDS[TaskId.REVERSE_LIST] is AnswerKind.TEXT
 
 
 def PromptTemplate_like(template, new_body):

@@ -9,8 +9,15 @@ import time
 import pytest
 from scipy import stats as scipy_stats
 
-from cotbench.backends import AuthError, BackendError, CorruptingBackend, OracleEchoBackend, RateLimited
-from cotbench.extraction import Verdict
+from cotbench.backends import (
+    AuthError,
+    BackendError,
+    CompletionConfig,
+    CorruptingBackend,
+    OracleEchoBackend,
+    RateLimited,
+)
+from cotbench.extraction import Verdict, extract_result, score
 from cotbench.prompts import SupervisionKind
 from cotbench.runner import (
     AccuracyTable,
@@ -25,12 +32,11 @@ from cotbench.runner import (
     compare_runs,
     format_accuracy,
     load_records,
-    rescore,
     run_experiment,
     two_proportion_z,
     wilson_interval,
 )
-from cotbench.tasks import InputRendering, TaskId
+from cotbench.tasks import ANSWER_KINDS, InputRendering, TaskId
 
 ALL_KINDS = list(SupervisionKind)
 
@@ -69,6 +75,22 @@ class TestSpec:
     def test_validation_rejects_zero_instances(self):
         with pytest.raises(SpecError):
             small_spec(instances_per_cell=0).validate()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"workers": 0},
+            {"completion": CompletionConfig(max_attempts=0)},
+            {"completion": CompletionConfig(backoff_s=())},
+            {"completion": CompletionConfig(backoff_s=(1.0, -1.0))},
+        ],
+        ids=["zero-workers", "zero-attempts", "no-backoff", "negative-backoff"],
+    )
+    def test_validation_rejects_settings_that_fail_mid_run(self, tmp_path, overrides):
+        backend = StallingBackend()
+        with pytest.raises(SpecError):
+            run_experiment(small_spec(**overrides), backend, tmp_path / "run")
+        assert backend.calls == 0
 
     def test_cells_unique(self):
         spec = small_spec(lengths={TaskId.PARITY_CHECK: [20, 25]})
@@ -248,6 +270,42 @@ class TestRunExperiment:
         run_experiment(spec, again, run_dir)
         assert again.calls == 0
 
+    def test_record_of_another_cell_does_not_count(self, tmp_path):
+        spec = small_spec(instances_per_cell=3)
+        clean = aggregate(run_experiment(spec, OracleEchoBackend(), tmp_path / "clean"), write=False)
+        run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
+        records = run_dir / "records"
+        # the scot file loses its index 2, and the base file's index 2 is appended in its place
+        scot = records / "pc.20.scot.list.jsonl"
+        kept = [line for line in scot.read_text().splitlines() if json.loads(line)["index"] != 2]
+        (foreign,) = [
+            line for line in (records / "pc.20.base.list.jsonl").read_text().splitlines()
+            if json.loads(line)["index"] == 2
+        ]
+        scot.write_text("\n".join(kept + [foreign]) + "\n")
+        assert ("pc.20.scot.list", 2) not in load_records(run_dir)
+
+        backend = StallingBackend()
+        run_experiment(spec, backend, run_dir)
+        assert backend.calls == 1
+        assert aggregate(run_dir, write=False).to_json() == clean.to_json()
+
+    def test_record_outside_the_index_range_does_not_count(self, tmp_path):
+        spec = small_spec()
+        clean = aggregate(run_experiment(spec, OracleEchoBackend(), tmp_path / "clean"), write=False)
+        run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
+        cell_file = run_dir / "records" / "pc.20.base.list.jsonl"
+        first = json.loads(cell_file.read_text().split("\n")[0])
+        with open(cell_file, "a") as fh:
+            for index in (99, 10, -1):
+                fh.write(json.dumps({**first, "index": index}) + "\n")
+        assert aggregate(run_dir, write=False).to_json() == clean.to_json()
+
+        backend = StallingBackend()
+        run_experiment(spec, backend, run_dir)
+        assert backend.calls == 0
+        assert aggregate(run_dir, write=False).to_json() == clean.to_json()
+
     def test_records_of_a_cell_share_one_key(self, tmp_path):
         run_dir = run_experiment(small_spec(), OracleEchoBackend(), tmp_path / "run")
         by_label = {}
@@ -276,7 +334,7 @@ class TestRunExperiment:
 
     def test_backend_errors_recorded_not_raised(self, tmp_path):
         class FailingBackend(OracleEchoBackend):
-            def complete_with_meta(self, prompt, cfg, context=None):
+            def complete(self, prompt, cfg, context=None):
                 raise BackendError("boom", attempts=3)
 
         spec = small_spec(instances_per_cell=2)
@@ -292,7 +350,8 @@ class TestRunExperiment:
         spec = small_spec(instances_per_cell=5)
         run_dir = run_experiment(spec, CorruptingBackend(p=0.5, seed=2), tmp_path / "run")
         for record in load_records(run_dir).values():
-            assert rescore(record) is record.verdict
+            extracted = extract_result(record.transcript, ANSWER_KINDS[record.cell.task])
+            assert score(extracted, record.oracle) is record.verdict
 
     def test_record_json_round_trip(self, tmp_path):
         run_dir = run_experiment(small_spec(instances_per_cell=2), OracleEchoBackend(), tmp_path / "r")

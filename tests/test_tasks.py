@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from enum import Enum, EnumMeta
 from math import comb
@@ -12,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from cotbench.cli import main as cli_main
 from cotbench.prompts import SupervisionKind
 from cotbench.tasks import (
     ALPHABETS,
+    ANSWER_KINDS,
     AnswerKind,
     InputRendering,
     InstanceTooLarge,
@@ -24,7 +27,6 @@ from cotbench.tasks import (
     TaskLevel,
     UnsupportedLength,
     brute_force_oracle,
-    dump_instances,
     dyck_rotation,
     generate_instance,
     instance_record,
@@ -32,7 +34,6 @@ from cotbench.tasks import (
     make_instance,
     oracle_solve,
     parse_enum,
-    parse_instance_record,
     render_input,
     rng_for,
     task_level,
@@ -342,15 +343,20 @@ class TestDumpFormat:
         rec = instance_record(inst)
         assert list(rec.keys()) == ["task", "length", "elements", "params", "oracle"]
 
-    def test_round_trip(self):
-        insts = [generate_instance(t, 6 if t not in (TaskId.EQUAL_NUMBER, TaskId.PALINDROME_VERIFICATION) else 6, seed_path=f"dump/{t.value}") for t in TaskId]
-        text = dump_instances(insts)
-        lines = text.strip().split("\n")
-        assert len(lines) == len(insts)
-        for line, inst in zip(lines, insts):
-            parsed, oracle = parse_instance_record(line)
-            assert parsed.elements == inst.elements
-            assert oracle == oracle_solve(inst.task, inst)
+    def test_round_trip(self, tmp_path):
+        for t in TaskId:
+            out = tmp_path / f"{t.value}.jsonl"
+            argv = ["generate", "--task", t.value, "--length", "6", "--count", "3", "--out", str(out)]
+            assert cli_main(argv) == 0
+            lines = out.read_text().strip().split("\n")
+            assert len(lines) == 3
+            for line in lines:
+                rec = json.loads(line)
+                task = TaskId.parse(rec["task"])
+                parsed = make_instance(task, rec["elements"], rec["params"])
+                oracle = OracleAnswer.from_json(ANSWER_KINDS[task], rec["oracle"])
+                assert oracle == oracle_solve(task, parsed)
+                assert instance_record(parsed) == rec
 
     def test_malformed_palindrome_rejected(self):
         with pytest.raises(MalformedInstance):
