@@ -3,9 +3,15 @@
 A run is a directory: ``spec.json`` freezes the experiment definition,
 ``records/<cell>.jsonl`` collects one call record per line, and
 ``table.json`` / ``table.txt`` hold the aggregates.  Records are keyed by
-(cell, index) so interrupted runs resume without duplicating work, and
-every instance derives from the master seed alone, so the same spec
-produces the same instances regardless of worker count.
+(cell, index) so interrupted runs resume without duplicating work.
+
+Every instance derives from (master seed, task, length, index) alone, so
+the prompt kinds of one (task, length) share each instance and its oracle:
+their accuracies are paired, the instance is generated once for all of
+them, and the same spec produces the same instances regardless of worker
+count.  ``spec.json`` records the version of that instance stream
+(``GENERATOR``), and a run directory written with another stream is not
+resumed.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property, lru_cache
+from itertools import groupby
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from cotbench.backends import (
     AuthError,
@@ -68,6 +75,11 @@ DEFAULT_LENGTHS: dict[TaskId, tuple[int, ...]] = {
 }
 
 Z_95 = statistics.NormalDist().inv_cdf(0.975)
+
+# Version of the instance stream, frozen into each run's spec.json.  Bump it
+# whenever the instances a spec draws change (a generator or the seed path).
+# Versions 1 and 2 predate the field: runs written then hold no "generator".
+GENERATOR = 3
 
 _TASK_ORDER = {task: i for i, task in enumerate(TaskId)}
 _KIND_ORDER = {kind: i for i, kind in enumerate(SupervisionKind)}
@@ -215,8 +227,10 @@ class ExperimentSpec:
         )
 
 
-def instance_seed_path(master_seed: int, cell: CellKey, index: int) -> str:
-    return f"{master_seed}/{cell.label}/{index}"
+def instance_seed_path(master_seed: int, task: TaskId, length: int, index: int) -> str:
+    """The seed path of one instance; it leaves out the kind and the rendering,
+    so every cell of a (task, length) draws the same instance at an index."""
+    return f"{master_seed}/{task.value}.{length}/{index}"
 
 
 @dataclass
@@ -314,16 +328,31 @@ class CallRecord:
             raise ValueError(f"malformed record: {exc}") from exc
 
 
-def _build_instance(cell: CellKey, master_seed: int, index: int) -> TaskInstance:
-    path = instance_seed_path(master_seed, cell, index)
-    return generate_instance(cell.task, cell.length, seed_path=path)
+# The pending calls of one instance: (task, length, index, the cells still to call).
+PendingGroup = tuple[TaskId, int, int, list[CellKey]]
+
+
+def _paired_calls(
+    master_seed: int, pending: list[PendingGroup]
+) -> Iterator[tuple[CellKey, int, TaskInstance, OracleAnswer]]:
+    """Each pending call with its instance and oracle, built once per group when it is reached."""
+    for task, length, index, cells in pending:
+        instance = generate_instance(
+            task, length, seed_path=instance_seed_path(master_seed, task, length, index)
+        )
+        oracle = oracle_solve(task, instance)
+        for cell in cells:
+            yield cell, index, instance, oracle
 
 
 def _execute_call(
-    spec: ExperimentSpec, backend: ModelBackend, cell: CellKey, index: int
+    spec: ExperimentSpec,
+    backend: ModelBackend,
+    cell: CellKey,
+    index: int,
+    instance: TaskInstance,
+    oracle: OracleAnswer,
 ) -> CallRecord:
-    instance = _build_instance(cell, spec.master_seed, index)
-    oracle = oracle_solve(cell.task, instance)
     prompt = render_prompt(get_template(cell.task, cell.kind), instance, cell.rendering)
     kind = ANSWER_KINDS[cell.task]
 
@@ -435,37 +464,61 @@ def run_experiment(
     """Execute (or resume) every cell of the spec against the backend.
 
     Backend errors are recorded on the affected call, except AuthError,
-    and a resume issues those calls again; spec problems abort before any
-    call is issued.  An exception (AuthError included) or an interrupt
-    cancels the calls not yet started, waits for those in flight, saves the
-    record of every call that succeeded and is raised again.  With one
-    worker the calls run in the calling thread.
+    and a resume issues those calls again; spec problems, a ``workers``
+    below 1 and a run directory of another spec or instance stream abort
+    before any call is issued.  An exception (AuthError included) or an
+    interrupt cancels the calls not yet started, waits for those in flight,
+    saves the record of every call that succeeded and is raised again.
+
+    Each instance and its oracle are built once and handed to every pending
+    kind of its (task, length, index).  With one worker the calls run in the
+    calling thread, one instance at a time, and each cell file receives its
+    records in index order.
     """
     spec.validate()
+    if workers is not None and workers < 1:
+        raise SpecError(f"workers must be positive, got {workers}")
+    workers = spec.workers if workers is None else workers
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     _records_dir(run_dir).mkdir(exist_ok=True)
 
     spec_path = run_dir / "spec.json"
-    frozen = json.dumps(spec.to_json(), indent=2, ensure_ascii=False) + "\n"
+    frozen = {**spec.to_json(), "generator": GENERATOR}
     if spec_path.exists():
-        if json.loads(spec_path.read_text(encoding="utf-8")) != spec.to_json():
+        stored = json.loads(spec_path.read_text(encoding="utf-8"))
+        if stored != frozen:
+            if isinstance(stored, dict) and stored.get("generator") != GENERATOR:
+                raise SpecError(
+                    f"{spec_path} was written with instance stream "
+                    f"{stored.get('generator', '1 or 2')}, and this version draws stream "
+                    f"{GENERATOR}: the instances changed, so refusing to resume across "
+                    "an instance-stream change; start a new run directory"
+                )
             raise SpecError(f"{spec_path} holds a different spec; refusing to mix runs")
     else:
-        spec_path.write_text(frozen, encoding="utf-8")
+        text = json.dumps(frozen, indent=2, ensure_ascii=False) + "\n"
+        spec_path.write_text(text, encoding="utf-8")
 
     cells = spec.cells()
-    pending: list[tuple[CellKey, int]] = []
-    for cell in cells:
-        done = _load_cell_records(_cell_file(run_dir, cell), spec.instances_per_cell)
+    pending: list[PendingGroup] = []
+    n_pending = 0
+    for (task, length), group in groupby(cells, key=lambda c: (c.task, c.length)):
+        group = list(group)
+        # the indices each cell is done with; a call that ended in a backend
+        # error is issued again
+        done = []
+        for cell in group:
+            records = _load_cell_records(_cell_file(run_dir, cell), spec.instances_per_cell)
+            done.append({index for index, record in records.items() if record.error is None})
         for index in range(spec.instances_per_cell):
-            record = done.get(index)
-            # a call that ended in a backend error is issued again
-            if record is None or record.error is not None:
-                pending.append((cell, index))
+            todo = [cell for cell, indices in zip(group, done) if index not in indices]
+            if todo:
+                pending.append((task, length, index, todo))
+                n_pending += len(todo)
 
     total = len(cells) * spec.instances_per_cell
-    completed = total - len(pending)
+    completed = total - n_pending
     if progress:
         progress(completed, total)
     if not pending:
@@ -487,22 +540,22 @@ def run_experiment(
         handle.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
         handle.flush()
 
-    workers = workers or spec.workers
+    calls = _paired_calls(spec.master_seed, pending)
     try:
         if workers == 1:
             # calls one after another need no pool: handing each call and its
             # record between two threads only adds work whose cost depends on
             # how the host schedules them
-            for cell, index in pending:
-                save(cell, _execute_call(spec, backend, cell, index))
+            for cell, index, instance, oracle in calls:
+                save(cell, _execute_call(spec, backend, cell, index, instance, oracle))
                 completed += 1
                 if progress:
                     progress(completed, total)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
+                # the calling thread builds each instance before submitting its calls
                 unsaved = {
-                    pool.submit(_execute_call, spec, backend, cell, index): cell
-                    for cell, index in pending
+                    pool.submit(_execute_call, spec, backend, *call): call[0] for call in calls
                 }
                 try:
                     for future in as_completed(list(unsaved)):
@@ -546,10 +599,13 @@ def format_accuracy(value: float) -> str:
 
 @dataclass(frozen=True)
 class CellStats:
+    """Accuracy of one cell; ``n`` leaves out the calls that ended in a backend error."""
+
     cell: CellKey
     n: int
     n_correct: int
     n_unparseable: int
+    n_error: int
 
     @property
     def accuracy(self) -> float:
@@ -566,6 +622,7 @@ class CellStats:
             "n": self.n,
             "n_correct": self.n_correct,
             "n_unparseable": self.n_unparseable,
+            "n_error": self.n_error,
             "accuracy": self.accuracy,
             "ci_low": low,
             "ci_high": high,
@@ -612,11 +669,22 @@ class AccuracyTable:
                         f"[{format_accuracy(low)}, {format_accuracy(high)}]"
                     )
             rows.append(row)
-        return format_grid(headers, rows)
+        text = format_grid(headers, rows)
+        n_error = sum(c.n_error for c in self.cells)
+        if n_error:
+            text += (
+                f"{n_error} calls ended in a backend error and are left out of n; "
+                "resume the run to issue them again\n"
+            )
+        return text
 
 
 def aggregate(run_dir: str | Path, write: bool = True) -> AccuracyTable:
-    """Group a run's records by cell and compute accuracy with Wilson bounds."""
+    """Group a run's records by cell and compute accuracy with Wilson bounds.
+
+    A record of a call that ended in a backend error says nothing about the
+    model, so it counts in ``n_error`` and not in ``n``.
+    """
     run_dir = Path(run_dir)
     records = load_records(run_dir)
 
@@ -626,11 +694,16 @@ def aggregate(run_dir: str | Path, write: bool = True) -> AccuracyTable:
 
     stats = []
     for label, cell_records in by_cell.items():
-        cell = cell_records[0].cell
-        n = len(cell_records)
-        n_correct = sum(1 for r in cell_records if r.verdict is Verdict.CORRECT)
-        n_unparseable = sum(1 for r in cell_records if r.verdict is Verdict.UNPARSEABLE)
-        stats.append(CellStats(cell, n, n_correct, n_unparseable))
+        n_correct = n_unparseable = n_error = 0
+        for r in cell_records:
+            if r.error is not None:
+                n_error += 1
+            elif r.verdict is Verdict.CORRECT:
+                n_correct += 1
+            elif r.verdict is Verdict.UNPARSEABLE:
+                n_unparseable += 1
+        n = len(cell_records) - n_error
+        stats.append(CellStats(cell_records[0].cell, n, n_correct, n_unparseable, n_error))
     stats.sort(key=lambda s: s.cell.sort_key)
 
     spec = _load_spec(run_dir)
@@ -704,7 +777,9 @@ class ComparisonTable:
 
 
 def two_proportion_z(k_a: int, n_a: int, k_b: int, n_b: int) -> float:
-    """Pooled two-proportion z statistic (b minus a)."""
+    """Pooled two-proportion z statistic (b minus a); 0 when either side has no scored call."""
+    if n_a == 0 or n_b == 0:
+        return 0.0
     pooled = (k_a + k_b) / (n_a + n_b)
     if pooled in (0.0, 1.0):
         return 0.0

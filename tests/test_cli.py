@@ -158,6 +158,16 @@ class TestRunReportCompare:
         assert "run error: completion.backoff_s" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_a_run_error(self, tmp_path, capsys, workers):
+        spec = self.write_spec(tmp_path / "spec.json")
+        code, _, err = run_cli(
+            capsys, "run", "--spec", str(spec), "--out", str(tmp_path / "run"), "--workers", workers,
+        )
+        assert code == 1
+        assert f"run error: workers must be positive, got {workers}" in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_spec_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "run", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "run"),

@@ -9,6 +9,7 @@ import time
 import pytest
 from scipy import stats as scipy_stats
 
+from cotbench import runner
 from cotbench.backends import (
     AuthError,
     BackendError,
@@ -92,6 +93,14 @@ class TestSpec:
             run_experiment(small_spec(**overrides), backend, tmp_path / "run")
         assert backend.calls == 0
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_override_below_one_is_refused(self, tmp_path, workers):
+        backend = StallingBackend()
+        with pytest.raises(SpecError, match="workers must be positive"):
+            run_experiment(small_spec(), backend, tmp_path / "run", workers=workers)
+        assert backend.calls == 0
+        assert not (tmp_path / "run").exists()
+
     def test_cells_unique(self):
         spec = small_spec(lengths={TaskId.PARITY_CHECK: [20, 25]})
         labels = [c.label for c in spec.cells()]
@@ -120,6 +129,20 @@ class StallingBackend(OracleEchoBackend):
             raise AuthError("endpoint rejected credentials (401)")
         if 10 < call <= 18:
             time.sleep(0.5)
+        return super().complete(prompt, cfg, context)
+
+
+class FlakyBackend(OracleEchoBackend):
+    """Echo backend whose first ``failures`` calls end in a backend error."""
+
+    def __init__(self, failures):
+        self.calls = 0
+        self.failures = failures
+
+    def complete(self, prompt, cfg, context=None):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise RateLimited("429 after retries", attempts=3)
         return super().complete(prompt, cfg, context)
 
 
@@ -242,17 +265,6 @@ class TestRunExperiment:
         assert aggregate(run_dir, write=False).to_json() == before
 
     def test_resume_reissues_errored_calls(self, tmp_path):
-        class FlakyBackend(OracleEchoBackend):
-            def __init__(self, failures):
-                self.calls = 0
-                self.failures = failures
-
-            def complete(self, prompt, cfg, context=None):
-                self.calls += 1
-                if self.calls <= self.failures:
-                    raise RateLimited("429 after retries", attempts=3)
-                return super().complete(prompt, cfg, context)
-
         spec = small_spec(kinds=[SupervisionKind.BASE], instances_per_cell=20)
         run_dir = run_experiment(spec, FlakyBackend(failures=5), tmp_path / "run")
         assert sum(r.error is not None for r in load_records(run_dir).values()) == 5
@@ -319,8 +331,32 @@ class TestRunExperiment:
 
     def test_resume_rejects_different_spec(self, tmp_path):
         run_dir = run_experiment(small_spec(), OracleEchoBackend(), tmp_path / "run")
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match="different spec"):
             run_experiment(small_spec(master_seed=8), OracleEchoBackend(), run_dir)
+
+    def test_spec_json_records_the_instance_stream(self, tmp_path):
+        # a user spec cannot choose the stream: the field is not read from it
+        spec = ExperimentSpec.from_json({**small_spec().to_json(), "generator": 1})
+        run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
+        frozen = json.loads((run_dir / "spec.json").read_text())
+        assert frozen == {**small_spec().to_json(), "generator": runner.GENERATOR}
+        assert runner.GENERATOR == 3
+
+    @pytest.mark.parametrize("stored", [None, 2], ids=["before-the-field", "older-version"])
+    def test_resume_refuses_another_instance_stream(self, tmp_path, stored):
+        spec = small_spec()
+        run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
+        before = aggregate(run_dir, write=False).to_json()
+        old = spec.to_json() if stored is None else {**spec.to_json(), "generator": stored}
+        (run_dir / "spec.json").write_text(json.dumps(old, indent=2) + "\n")
+
+        backend = StallingBackend()
+        with pytest.raises(SpecError, match="instance-stream change"):
+            run_experiment(spec, backend, run_dir)
+        assert backend.calls == 0
+        # an old run directory still loads and reports
+        assert len(load_records(run_dir)) == 40
+        assert aggregate(run_dir, write=False).to_json() == before
 
     def test_worker_count_does_not_change_table(self, tmp_path):
         spec = small_spec(backend={"kind": "corrupt", "p": 0.4})
@@ -414,6 +450,26 @@ class TestAggregate:
         aggregate(run_dir)
         assert (run_dir / "table.json").read_bytes() == first
 
+    def test_backend_errors_are_left_out_of_n(self, tmp_path):
+        spec = small_spec(kinds=[SupervisionKind.BASE], instances_per_cell=20)
+        run_dir = run_experiment(spec, FlakyBackend(failures=5), tmp_path / "run")
+        (cell,) = aggregate(run_dir).cells
+        assert (cell.n, cell.n_correct, cell.n_error, cell.n_unparseable) == (15, 15, 5, 0)
+        assert cell.accuracy == 1.0
+        (stored,) = json.loads((run_dir / "table.json").read_text())["cells"]
+        assert (stored["n"], stored["n_error"]) == (15, 5)
+        assert "5 calls ended in a backend error" in (run_dir / "table.txt").read_text()
+        # the records on disk keep their verdict
+        errored = [r for r in load_records(run_dir).values() if r.error is not None]
+        assert len(errored) == 5 and all(r.verdict is Verdict.UNPARSEABLE for r in errored)
+
+        run_experiment(spec, FlakyBackend(failures=0), run_dir)
+        (cell,) = aggregate(run_dir).cells
+        assert (cell.n, cell.n_correct, cell.n_error) == (20, 20, 0)
+        (stored,) = json.loads((run_dir / "table.json").read_text())["cells"]
+        assert (stored["n"], stored["n_error"]) == (20, 0)
+        assert "backend error" not in (run_dir / "table.txt").read_text()
+
     def test_empty_cell_warns(self, tmp_path):
         spec = small_spec()
         run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
@@ -464,8 +520,109 @@ class TestCompare:
         assert two_proportion_z(0, 100, 0, 100) == 0.0
         assert two_proportion_z(100, 100, 100, 100) == 0.0
 
+    def test_cell_with_only_backend_errors_compares_without_evidence(self, tmp_path):
+        class FailingBackend(OracleEchoBackend):
+            def complete(self, prompt, cfg, context=None):
+                raise BackendError("boom", attempts=3)
+
+        spec = small_spec(instances_per_cell=2)
+        dir_a = run_experiment(spec, FailingBackend(), tmp_path / "a")
+        dir_b = run_experiment(spec, OracleEchoBackend(), tmp_path / "b")
+        assert all((c.n, c.n_error) == (0, 2) for c in aggregate(dir_a, write=False).cells)
+        rows = compare_runs(dir_a, dir_b).rows
+        assert len(rows) == 4
+        assert all(row.z == 0.0 and not row.significant for row in rows)
+
     def test_thousand_instance_gap_is_significant(self):
         # a 24.4% vs 54.2% split at n=1000 per arm is far past the 5% bar
         z = two_proportion_z(244, 1000, 542, 1000)
         assert z > 1.96
         assert abs(z - 13.64302407543293) < 1e-9
+
+
+class TestPairedInstances:
+    """The kinds of one (task, length) share the instance and oracle of each index."""
+
+    def spec(self, **overrides):
+        return small_spec(
+            tasks=[TaskId.PARITY_CHECK, TaskId.EQUAL_NUMBER],
+            lengths={TaskId.PARITY_CHECK: [20, 25], TaskId.EQUAL_NUMBER: [20]},
+            instances_per_cell=6,
+            **overrides,
+        )
+
+    @staticmethod
+    def by_instance(run_dir) -> dict[tuple, dict]:
+        """(task, length, index) -> {kind: (instance json, oracle json)}."""
+        out: dict[tuple, dict] = {}
+        for (_, index), record in load_records(run_dir).items():
+            data = record.to_json()
+            key = (record.cell.task, record.cell.length, index)
+            out.setdefault(key, {})[record.cell.kind] = (data["instance"], data["oracle"])
+        return out
+
+    def assert_paired(self, run_dir, spec):
+        groups = self.by_instance(run_dir)
+        assert len(groups) == 3 * spec.instances_per_cell
+        for (task, length, index), by_kind in groups.items():
+            assert set(by_kind) == set(spec.kinds)
+            (shared,) = {json.dumps(pair, sort_keys=True) for pair in by_kind.values()}
+            instance, _ = json.loads(shared)
+            assert instance["seed_path"] == f"{spec.master_seed}/{task.value}.{length}/{index}"
+        # the indices of one (task, length) still draw different instances
+        pc20 = {
+            json.dumps(by_kind[SupervisionKind.BASE][0]["elements"])
+            for (task, length, _), by_kind in groups.items()
+            if (task, length) == (TaskId.PARITY_CHECK, 20)
+        }
+        assert len(pc20) == spec.instances_per_cell
+        return groups
+
+    def test_kinds_share_instance_and_oracle(self, tmp_path):
+        spec = self.spec()
+        self.assert_paired(run_experiment(spec, OracleEchoBackend(), tmp_path / "run"), spec)
+
+    def test_fresh_run_generates_and_solves_once_per_instance(self, tmp_path, monkeypatch):
+        generated, solved = [], []
+        generate, solve = runner.generate_instance, runner.oracle_solve
+
+        def counting_generate(task, length, seed_path):
+            generated.append((task, length, seed_path))
+            return generate(task, length, seed_path=seed_path)
+
+        def counting_solve(task, instance):
+            solved.append(instance.seed_path)
+            return solve(task, instance)
+
+        monkeypatch.setattr(runner, "generate_instance", counting_generate)
+        monkeypatch.setattr(runner, "oracle_solve", counting_solve)
+        spec = self.spec()
+        run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
+        assert len(generated) == len(set(generated)) == 3 * spec.instances_per_cell
+        assert sorted(solved) == sorted(path for _, _, path in generated)
+
+    def test_resume_reissues_a_lost_kind_on_the_same_instances(self, tmp_path):
+        spec = self.spec()
+        run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
+        before = self.by_instance(run_dir)
+        (run_dir / "records" / "pc.25.scot.list.jsonl").unlink()
+
+        backend = StallingBackend()
+        run_experiment(spec, backend, run_dir)
+        assert backend.calls == spec.instances_per_cell
+        assert self.assert_paired(run_dir, spec) == before
+
+    def test_worker_count_does_not_change_paired_instances(self, tmp_path):
+        spec = self.spec()
+        one = run_experiment(spec, OracleEchoBackend(), tmp_path / "w1", workers=1)
+        sixteen = run_experiment(spec, OracleEchoBackend(), tmp_path / "w16", workers=16)
+        assert self.assert_paired(one, spec) == self.assert_paired(sixteen, spec)
+
+    def test_one_worker_writes_each_cell_in_index_order(self, tmp_path):
+        spec = self.spec()
+        run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run", workers=1)
+        files = sorted((run_dir / "records").glob("*.jsonl"))
+        assert len(files) == 12
+        for path in files:
+            indices = [json.loads(line)["index"] for line in path.read_text().splitlines()]
+            assert indices == list(range(spec.instances_per_cell))
