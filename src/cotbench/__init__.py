@@ -14,7 +14,6 @@ from cotbench.backends import (
     ModelBackend,
     OracleEchoBackend,
     ReplayBackend,
-    TranscriptStore,
     make_backend,
 )
 from cotbench.complexity import (
@@ -94,7 +93,6 @@ __all__ = [
     "TaskId",
     "TaskInstance",
     "TaskLevel",
-    "TranscriptStore",
     "Verdict",
     "aggregate",
     "answer_space_census",

@@ -2,16 +2,16 @@
 
 Every backend exposes the same call shape: prompt text in, a ``Completion``
 out, which carries the transcript and the attempts spent on it.  The
-synthetic backends (oracle echo, corrupting, replay) exist so
-the whole harness can be exercised and validated offline; the live
-backend speaks the common chat-completions JSON shape against whatever
-base URL it is pointed at.
+synthetic backends (oracle echo, corrupting) exist so the whole harness can
+be exercised and validated offline; the replay backend serves the
+transcripts an earlier run directory recorded, so a paid live run can be
+re-scored offline; the live backend speaks the common chat-completions JSON
+shape against whatever base URL it is pointed at.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import random
 import threading
@@ -61,7 +61,7 @@ class MissingRecording(BackendError):
 
 @dataclass(frozen=True)
 class CompletionConfig:
-    """Decoding and transport settings carried on every call record."""
+    """Decoding and transport settings of a run, frozen in its ``spec.json``."""
 
     model: str = "gpt-4o-mini"
     temperature: float = 0.0
@@ -69,14 +69,6 @@ class CompletionConfig:
     timeout_s: float = 120.0
     max_attempts: int = 3
     backoff_s: tuple[float, ...] = (1.0, 2.0, 4.0)
-
-    def decoding_fields(self) -> dict:
-        """The fields that determine the output (used for replay keys)."""
-        return {
-            "model": self.model,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-        }
 
     def to_json(self) -> dict:
         return {
@@ -193,71 +185,46 @@ class CorruptingBackend(ModelBackend):
         return Completion(_echo_transcript(answer))
 
 
-class TranscriptStore:
-    """Keyed recording of transcripts: content-hash(prompt, decoding config) -> text."""
-
-    def __init__(self):
-        self._entries: dict[str, dict] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def key_for(prompt: str, cfg: CompletionConfig) -> str:
-        payload = json.dumps(
-            {"prompt": prompt, "config": cfg.decoding_fields()},
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def put(self, prompt: str, cfg: CompletionConfig, transcript: str) -> str:
-        key = self.key_for(prompt, cfg)
-        with self._lock:
-            self._entries[key] = {
-                "key": key,
-                "prompt": prompt,
-                "config": cfg.decoding_fields(),
-                "transcript": transcript,
-            }
-        return key
-
-    def get(self, prompt: str, cfg: CompletionConfig) -> str:
-        key = self.key_for(prompt, cfg)
-        try:
-            return self._entries[key]["transcript"]
-        except KeyError:
-            raise MissingRecording(f"no transcript recorded under {key[:12]}...") from None
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for key in sorted(self._entries):
-                fh.write(json.dumps(self._entries[key], ensure_ascii=False) + "\n")
-
-    @staticmethod
-    def load(path: str | Path) -> "TranscriptStore":
-        store = TranscriptStore()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                store._entries[entry["key"]] = entry
-        return store
-
-
 class ReplayBackend(ModelBackend):
-    """Serves transcripts from a store by exact key; never goes to the network."""
+    """Serves an earlier run's transcripts by prompt sha256; never goes to the network.
+
+    A transcript answers only calls with the recorded run's model, temperature
+    and max_tokens; timeout and retry settings do not change what a model says.
+    """
 
     name = "replay"
 
-    def __init__(self, store: TranscriptStore):
-        self.store = store
+    def __init__(self, transcripts: dict[str, str], decoding: CompletionConfig):
+        self.transcripts = transcripts
+        self.decoding = decoding
+
+    @staticmethod
+    def from_run(run_dir: str | Path) -> "ReplayBackend":
+        """The transcripts of a run directory's records, except calls that ended in an error."""
+        from cotbench.runner import _load_spec, load_records  # runner imports this module
+
+        spec = _load_spec(Path(run_dir))
+        if spec is None:
+            raise ValueError(f"no spec.json in {run_dir}: replay needs a run directory")
+        transcripts = {
+            record.prompt_sha256: record.transcript
+            for record in load_records(run_dir).values()
+            if record.error is None
+        }
+        return ReplayBackend(transcripts, spec.completion)
 
     def complete(self, prompt, cfg, context=None):
-        return Completion(self.store.get(prompt, cfg))
+        recorded = (self.decoding.model, self.decoding.temperature, self.decoding.max_tokens)
+        asked = (cfg.model, cfg.temperature, cfg.max_tokens)
+        if asked != recorded:
+            raise MissingRecording(
+                f"recorded with (model, temperature, max_tokens) {recorded}, not {asked}"
+            )
+        key = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        try:
+            return Completion(self.transcripts[key])
+        except KeyError:
+            raise MissingRecording(f"no transcript recorded under {key[:12]}...") from None
 
 
 class _RateLimiter:
@@ -284,7 +251,7 @@ class _RateLimiter:
 
 
 class LiveBackend(ModelBackend):
-    """Chat-completions HTTP client with retries, a rate limit, and optional recording.
+    """Chat-completions HTTP client with retries and a rate limit.
 
     Sends a single user message per call and returns the assistant text.
     Retries transport failures, 429s, and 5xx responses per the config's
@@ -298,7 +265,6 @@ class LiveBackend(ModelBackend):
         base_url: str | None = None,
         api_key: str | None = None,
         requests_per_minute: int | None = None,
-        record_store: TranscriptStore | None = None,
         session: requests.Session | None = None,
     ):
         self.base_url = (base_url or os.environ.get(BASE_URL_ENV) or DEFAULT_BASE_URL).rstrip("/")
@@ -306,7 +272,6 @@ class LiveBackend(ModelBackend):
         if not self.api_key:
             raise AuthError(f"no API key: set {API_KEY_ENV}")
         self._limiter = _RateLimiter(requests_per_minute)
-        self.record_store = record_store
         self._session = session or requests.Session()
 
     def complete(self, prompt, cfg, context=None):
@@ -349,8 +314,6 @@ class LiveBackend(ModelBackend):
                 raise ProtocolError(f"malformed completion payload: {exc}", attempt) from exc
             if transcript is None:
                 raise ProtocolError("completion payload had no message content", attempt)
-            if self.record_store is not None:
-                self.record_store.put(prompt, cfg, transcript)
             return Completion(transcript, attempt)
         assert last_error is not None
         raise last_error
@@ -366,8 +329,8 @@ def make_backend(spec: dict) -> ModelBackend:
     if kind == "replay":
         path = spec.get("store")
         if not path:
-            raise ValueError("replay backend needs a 'store' path")
-        return ReplayBackend(TranscriptStore.load(path))
+            raise ValueError("replay backend needs a 'store' run directory")
+        return ReplayBackend.from_run(path)
     if kind == "live":
         return LiveBackend(
             base_url=spec.get("base_url"),

@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=["live", "echo", "corrupt", "replay"], default=None,
                    help="override the spec's backend kind")
     p.add_argument("--corrupt-p", type=float, default=None, help="corruption rate for --backend corrupt")
-    p.add_argument("--store", type=Path, default=None, help="transcript store for --backend replay")
+    p.add_argument("--store", type=Path, default=None,
+                   help="run directory whose records to replay, for --backend replay")
     p.add_argument("--workers", type=int, default=None)
 
     p = sub.add_parser("report", help="aggregate a run directory into accuracy tables")
@@ -152,6 +153,10 @@ def cmd_validate_oracles(args) -> int:
 
 
 def cmd_run(args) -> int:
+    for flag, value, kind in (("--corrupt-p", args.corrupt_p, "corrupt"), ("--store", args.store, "replay")):
+        if value is not None and args.backend != kind:
+            print(f"usage error: {flag} needs --backend {kind}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         spec = ExperimentSpec.from_json(json.loads(args.spec.read_text(encoding="utf-8")))
     except (OSError, ValueError, KeyError) as exc:

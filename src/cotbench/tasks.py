@@ -284,8 +284,6 @@ def generate_instance(
     rng: random.Random | None = None,
     *,
     seed_path: str = "",
-    letter: str = "a",
-    alphabet: str | None = None,
 ) -> TaskInstance:
     """Draw one instance of the given payload length.
 
@@ -306,17 +304,12 @@ def generate_instance(
     if task in (TaskId.PALINDROME_VERIFICATION, TaskId.EQUAL_NUMBER) and length % 2 != 0:
         raise UnsupportedLength(f"{task.value} requires an even length, got {length}")
 
-    params: dict = {}
     if task is TaskId.PARITY_CHECK:
-        pool = ALPHABETS[task]
-        if letter not in pool:
-            raise ValueError(f"target letter must be one of {pool!r}")
-        elements = rng.choices(pool, k=length)
+        elements = rng.choices(ALPHABETS[task], k=length)
         want_even = rng.random() < 0.5
-        if (elements.count(letter) % 2 == 0) != want_even:
+        if (elements.count("a") % 2 == 0) != want_even:
             i = rng.randrange(length)
             elements[i] = "b" if elements[i] == "a" else "a"
-        params = {"letter": letter}
     elif task is TaskId.EQUAL_NUMBER:
         half = length // 2
         if rng.random() < 0.5:
@@ -339,17 +332,11 @@ def generate_instance(
             others = [c for c in pool if c != right[j]]
             right[j] = rng.choice(others)
         elements = left + [PALINDROME_MARKER] + right
-    elif task is TaskId.DUPLICATE_LIST:
-        pool = alphabet or ALPHABETS[task]
-        elements = rng.choices(pool, k=length)
-        params = {"alphabet": pool}
     else:
-        pool = ALPHABETS[task]
-        elements = rng.choices(pool, k=length)
-        if task is TaskId.CYCLE_NAVIGATION:
-            params = {"modulus": 5}
+        elements = rng.choices(ALPHABETS[task], k=length)
 
-    return make_instance(task, elements, params, seed_path)
+    # the default params: letter "a", modulus 5 and the task's own alphabet
+    return make_instance(task, elements, seed_path=seed_path)
 
 
 def dyck_rotation(steps: Sequence[str]) -> list[str]:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -21,7 +23,6 @@ from cotbench.backends import (
     RateLimited,
     ReplayBackend,
     Timeout,
-    TranscriptStore,
     make_backend,
 )
 from cotbench.extraction import Verdict, extract_result, score
@@ -101,36 +102,32 @@ class TestCorrupting:
             assert sorted(got.value) == sorted(ctx.oracle.value) or len(got.value) == len(ctx.oracle.value)
 
 
-class TestTranscriptStore:
-    def test_round_trip(self, tmp_path):
-        store = TranscriptStore()
-        store.put("prompt one", CFG, "reply one")
-        store.put("prompt two", CFG, "reply two")
-        path = tmp_path / "store.jsonl"
-        store.save(path)
-        loaded = TranscriptStore.load(path)
-        assert loaded.get("prompt one", CFG) == "reply one"
-        assert loaded.get("prompt two", CFG) == "reply two"
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestReplay:
+    def test_serves_transcripts_by_prompt_sha256(self):
+        backend = ReplayBackend({sha256("prompt one"): "reply one", sha256("prompt two"): "reply two"}, CFG)
+        assert backend.complete("prompt one", CFG) == Completion("reply one")
+        assert backend.complete("prompt two", CFG).text == "reply two"
 
     def test_replay_missing(self):
-        backend = ReplayBackend(TranscriptStore())
+        backend = ReplayBackend({}, CFG)
         with pytest.raises(MissingRecording):
             backend.complete("never recorded", CFG)
 
-    def test_key_ignores_transport_fields(self):
-        slow = CompletionConfig(model="m", timeout_s=1.0, max_attempts=1)
-        fast = CompletionConfig(model="m", timeout_s=99.0, max_attempts=9)
-        assert TranscriptStore.key_for("p", slow) == TranscriptStore.key_for("p", fast)
-        other = CompletionConfig(model="m2")
-        assert TranscriptStore.key_for("p", slow) != TranscriptStore.key_for("p", other)
-
-    def test_store_line_format(self, tmp_path):
-        store = TranscriptStore()
-        store.put("p", CFG, "t")
-        path = tmp_path / "s.jsonl"
-        store.save(path)
-        record = json.loads(path.read_text().strip())
-        assert set(record) == {"key", "prompt", "config", "transcript"}
+    def test_only_decoding_fields_must_match(self):
+        backend = ReplayBackend({sha256("p"): "t"}, CompletionConfig(model="m", timeout_s=1.0, max_attempts=1))
+        fast = CompletionConfig(model="m", timeout_s=99.0, max_attempts=9, backoff_s=(0.5,))
+        assert backend.complete("p", fast).text == "t"
+        for other in (
+            CompletionConfig(model="m2"),
+            CompletionConfig(model="m", temperature=0.7),
+            CompletionConfig(model="m", max_tokens=16),
+        ):
+            with pytest.raises(MissingRecording):
+                backend.complete("p", other)
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -217,14 +214,6 @@ class TestLiveBackend:
             backend.complete("hello", CFG)
         assert len(StubHandler.requests_seen) == CFG.max_attempts
 
-    def test_recording(self, stub_server):
-        store = TranscriptStore()
-        backend = LiveBackend(base_url=stub_server, api_key="k", record_store=store)
-        transcript = backend.complete("record me", CFG).text
-        assert store.get("record me", CFG) == transcript
-        replay = ReplayBackend(store)
-        assert replay.complete("record me", CFG).text == transcript
-
     def test_malformed_payload(self, stub_server):
         StubHandler.script = [(200, {"nonsense": True})]
         backend = LiveBackend(base_url=stub_server, api_key="k")
@@ -303,12 +292,7 @@ def test_record_then_replay_reproduces_tables(tmp_path):
     server = ThreadingHTTPServer(("127.0.0.1", 0), ResultStubHandler)
     threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
     try:
-        store = TranscriptStore()
-        live = LiveBackend(
-            base_url=f"http://127.0.0.1:{server.server_port}/v1",
-            api_key="k",
-            record_store=store,
-        )
+        live = LiveBackend(base_url=f"http://127.0.0.1:{server.server_port}/v1", api_key="k")
         spec = ExperimentSpec(
             tasks=[TaskId.EVEN_PAIRS],
             lengths={TaskId.EVEN_PAIRS: [10]},
@@ -326,11 +310,8 @@ def test_record_then_replay_reproduces_tables(tmp_path):
 
     live_records = load_records(live_dir)
     assert all(r.error is None for r in live_records.values())
-    store_path = tmp_path / "transcripts.jsonl"
-    store.save(store_path)
 
-    replay = ReplayBackend(TranscriptStore.load(store_path))
-    replay_dir = run_experiment(spec, replay, tmp_path / "replay")
+    replay_dir = run_experiment(spec, ReplayBackend.from_run(live_dir), tmp_path / "replay")
     replay_records = load_records(replay_dir)
     assert all(r.error is None for r in replay_records.values())
     for key, record in live_records.items():
@@ -351,16 +332,16 @@ def test_preseeded_case_transcripts_replay_to_expected_verdicts():
         "ep": make_instance(TaskId.EVEN_PAIRS, CASE_EP_LIST),
         "rl": make_instance(TaskId.REVERSE_LIST, CASE_RL_LIST),
     }
-    store = TranscriptStore()
+    transcripts = {}
     prompts = {}
     for name, task_code, kind_code, _ in CASE_STUDIES:
         task = TaskId.parse(task_code)
         template = get_template(task, SupervisionKind.parse(kind_code))
         prompt = render_prompt(template, instances[task_code], InputRendering.LIST_FIED)
         prompts[name] = prompt.text
-        store.put(prompt.text, CFG, load_case(name))
+        transcripts[prompt.sha256] = load_case(name)
 
-    replay = ReplayBackend(store)
+    replay = ReplayBackend(transcripts, CFG)
     for name, task_code, _, expected_value in CASE_STUDIES:
         task = TaskId.parse(task_code)
         kind = AnswerKind.INT if task_code == "ep" else AnswerKind.TEXT
@@ -369,6 +350,50 @@ def test_preseeded_case_transcripts_replay_to_expected_verdicts():
         verdict = score(extracted, OracleAnswer(kind, CASE_ORACLES[task_code]))
         want = Verdict.CORRECT if expected_value == CASE_ORACLES[task_code] else Verdict.INCORRECT
         assert verdict is want, name
+
+
+def test_replay_answers_only_the_recorded_decoding(tmp_path):
+    from cotbench.runner import aggregate, load_records, run_experiment
+
+    spec = small_live_spec({"kind": "echo"})
+    source = run_experiment(spec, OracleEchoBackend(), tmp_path / "source")
+    replay = ReplayBackend.from_run(source)
+
+    other_model = replace(spec, completion=CompletionConfig(model="other"))
+    other_dir = run_experiment(other_model, replay, tmp_path / "other-model")
+    assert {r.error for r in load_records(other_dir).values()} == {"MissingRecording"}
+    assert all(c.n == 0 and c.n_error == 2 for c in aggregate(other_dir, write=False).cells)
+
+    slower = replace(spec, completion=CompletionConfig(model="stub", timeout_s=1.0, max_attempts=1))
+    slower_dir = run_experiment(slower, replay, tmp_path / "slower")
+    assert aggregate(slower_dir, write=False).to_json() == aggregate(source, write=False).to_json()
+
+
+def test_replay_does_not_serve_a_call_that_ended_in_an_error(tmp_path):
+    from cotbench.runner import aggregate, load_records, run_experiment
+
+    class FirstCallFails(OracleEchoBackend):
+        calls = 0
+
+        def complete(self, prompt, cfg, context=None):
+            type(self).calls += 1
+            if self.calls == 1:
+                raise ProtocolError("server error (500)")
+            return super().complete(prompt, cfg, context)
+
+    spec = small_live_spec({"kind": "echo"})
+    source = run_experiment(spec, FirstCallFails(), tmp_path / "source", workers=1)
+    failed = [r for r in load_records(source).values() if r.error is not None]
+    assert len(failed) == 1 and failed[0].transcript == ""
+
+    replay = ReplayBackend.from_run(source)
+    assert len(replay.transcripts) == 7
+    assert failed[0].prompt_sha256 not in replay.transcripts
+    replay_dir = run_experiment(spec, replay, tmp_path / "replay")
+    replayed = load_records(replay_dir)
+    key = (failed[0].cell.label, failed[0].index)
+    assert replayed[key].error == "MissingRecording"
+    assert aggregate(replay_dir, write=False).to_json() == aggregate(source, write=False).to_json()
 
 
 class TestFactory:

@@ -168,6 +168,61 @@ class TestRunReportCompare:
         assert f"run error: workers must be positive, got {workers}" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("source", [["--backend", "echo"], ["--backend", "corrupt", "--corrupt-p", "0.3"]])
+    def test_replay_reproduces_the_source_tables(self, tmp_path, capsys, source):
+        spec = self.write_spec(
+            tmp_path / "spec.json", tasks=["pc", "ep", "rl"], lengths={"pc": [20], "ep": [10], "rl": [10]},
+        )
+        a, b = tmp_path / "a", tmp_path / "b"
+        code, _, _ = run_cli(capsys, "run", "--spec", str(spec), "--out", str(a), *source)
+        assert code == 0
+        code, _, err = run_cli(
+            capsys, "run", "--spec", str(spec), "--out", str(b), "--backend", "replay", "--store", str(a),
+        )
+        assert code == 0, err
+        reports = []
+        for run_dir in (a, b):
+            code, out, _ = run_cli(capsys, "report", "--run", str(run_dir))
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert (a / "table.txt").read_bytes() == (b / "table.txt").read_bytes()
+        if source[1] == "corrupt":
+            assert "100.0" not in reports[0]
+
+    @pytest.mark.parametrize("store", ["file", "empty-dir"])
+    def test_replay_store_that_is_not_a_run_directory(self, tmp_path, capsys, store):
+        spec = self.write_spec(tmp_path / "spec.json")
+        path = tmp_path / store
+        if store == "file":
+            path.write_text("{}\n")
+        else:
+            path.mkdir()
+        code, _, err = run_cli(
+            capsys, "run", "--spec", str(spec), "--out", str(tmp_path / "run"),
+            "--backend", "replay", "--store", str(path),
+        )
+        assert code == 2
+        assert "backend error: no spec.json" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--store", "elsewhere"], "--store needs --backend replay"),
+            (["--backend", "echo", "--store", "elsewhere"], "--store needs --backend replay"),
+            (["--corrupt-p", "0.3"], "--corrupt-p needs --backend corrupt"),
+            (["--backend", "replay", "--corrupt-p", "0.3"], "--corrupt-p needs --backend corrupt"),
+        ],
+        ids=["store-alone", "store-with-echo", "corrupt-p-alone", "corrupt-p-with-replay"],
+    )
+    def test_override_for_another_backend_is_usage_error(self, tmp_path, capsys, flags, message):
+        spec = self.write_spec(tmp_path / "spec.json")
+        code, _, err = run_cli(capsys, "run", "--spec", str(spec), "--out", str(tmp_path / "run"), *flags)
+        assert code == 2
+        assert f"usage error: {message}" in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_spec_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "run", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "run"),

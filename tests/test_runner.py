@@ -231,7 +231,6 @@ class TestRunExperiment:
         run_experiment(spec, OracleEchoBackend(), run_dir)
         records = load_records(run_dir)
         assert len(records) == 40
-        indices = sorted(i for (label, i) in records if label == lines[0] and False)
         per_cell = {}
         for (label, i) in records:
             per_cell.setdefault(label, set()).add(i)

@@ -193,15 +193,19 @@ class TestGenerators:
             assert scipy_stats.chisquare(list(counts.values())).pvalue > 0.001
 
     def test_duplicate_list_custom_alphabet(self):
-        inst = generate_instance(TaskId.DUPLICATE_LIST, 8, rng_for("dl"), alphabet="xyz")
-        assert set(inst.elements) <= set("xyz")
+        # a record's stored alphabet, not the default "ab", bounds its symbols
+        inst = make_instance(TaskId.DUPLICATE_LIST, list("xyzzy"), {"alphabet": "xyz"})
         assert inst.params["alphabet"] == "xyz"
+        assert oracle_solve(TaskId.DUPLICATE_LIST, inst).value == "xyzzyxyzzy"
+        with pytest.raises(MalformedInstance):
+            make_instance(TaskId.DUPLICATE_LIST, list("xyab"), {"alphabet": "xyz"})
 
     def test_parity_custom_letter(self):
-        inst = generate_instance(TaskId.PARITY_CHECK, 10, rng_for("pc-b"), letter="b")
+        # a record's stored letter, not the default "a", is the one counted
+        inst = make_instance(TaskId.PARITY_CHECK, list("abbab"), {"letter": "b"})
         assert inst.params["letter"] == "b"
-        want = inst.elements.count("b") % 2 == 0
-        assert oracle_solve(TaskId.PARITY_CHECK, inst).value is want
+        assert oracle_solve(TaskId.PARITY_CHECK, inst).value is False
+        assert oracle_solve(TaskId.PARITY_CHECK, make_instance(TaskId.PARITY_CHECK, list("abbab"))).value is True
 
 
 class TestBruteForceAgreement:
