@@ -208,18 +208,23 @@ class ReplayBackend(ModelBackend):
             raise ValueError(f"no spec.json in {run_dir}: replay needs a run directory")
         transcripts = {
             record.prompt_sha256: record.transcript
-            for record in load_records(run_dir).values()
+            for record in load_records(run_dir)
             if record.error is None
         }
         return ReplayBackend(transcripts, spec.completion)
 
-    def complete(self, prompt, cfg, context=None):
+    def decoding_mismatch(self, cfg: CompletionConfig) -> str | None:
+        """Why no call under ``cfg`` can be answered, or None if it decodes as recorded."""
         recorded = (self.decoding.model, self.decoding.temperature, self.decoding.max_tokens)
         asked = (cfg.model, cfg.temperature, cfg.max_tokens)
-        if asked != recorded:
-            raise MissingRecording(
-                f"recorded with (model, temperature, max_tokens) {recorded}, not {asked}"
-            )
+        if asked == recorded:
+            return None
+        return f"recorded with (model, temperature, max_tokens) {recorded}, not {asked}"
+
+    def complete(self, prompt, cfg, context=None):
+        mismatch = self.decoding_mismatch(cfg)
+        if mismatch:
+            raise MissingRecording(mismatch)
         key = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
         try:
             return Completion(self.transcripts[key])

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from cotbench.backends import AuthError, BackendError, make_backend
+from cotbench.backends import AuthError, BackendError, ReplayBackend, make_backend
 from cotbench.complexity import (
     ComplexityError,
     InvalidParams,
@@ -25,6 +25,7 @@ from cotbench.runner import (
     DEFAULT_LENGTHS,
     ExperimentSpec,
     RunnerError,
+    SpecError,
     aggregate,
     compare_runs,
     run_experiment,
@@ -174,9 +175,15 @@ def cmd_run(args) -> int:
     except AuthError as exc:
         print(f"auth error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except ValueError as exc:
+    except (ValueError, SpecError) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if isinstance(backend, ReplayBackend):
+        # every call would end in MissingRecording: refuse before the first
+        mismatch = backend.decoding_mismatch(spec.completion)
+        if mismatch:
+            print(f"usage error: cannot replay {spec.backend['store']}: {mismatch}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         run_dir = run_experiment(spec, backend, args.out, workers=args.workers, progress=stderr_progress)
     except RunnerError as exc:
@@ -190,7 +197,11 @@ def cmd_report(args) -> int:
     if not (args.run / "records").is_dir():
         print(f"not a run directory: {args.run}", file=sys.stderr)
         return EXIT_USAGE
-    table = aggregate(args.run)
+    try:
+        table = aggregate(args.run)
+    except SpecError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     sys.stdout.write(table.format_text())
     print(f"tables written to {args.run}/table.json and table.txt", file=sys.stderr)
     return EXIT_OK

@@ -3,7 +3,9 @@
 A run is a directory: ``spec.json`` freezes the experiment definition,
 ``records/<cell>.jsonl`` collects one call record per line, and
 ``table.json`` / ``table.txt`` hold the aggregates.  Records are keyed by
-(cell, index) so interrupted runs resume without duplicating work.
+(cell, index) so interrupted runs resume without duplicating work.  A
+report reads the records one cell file at a time and counts each cell as
+it goes, so it holds one cell's records whatever the size of the run.
 
 Every instance derives from (master seed, task, length, index) alone, so
 the prompt kinds of one (task, length) share each instance and its oracle:
@@ -22,11 +24,13 @@ import statistics
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from collections import Counter
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property, lru_cache
-from itertools import groupby
+from itertools import groupby, islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -80,6 +84,12 @@ Z_95 = statistics.NormalDist().inv_cdf(0.975)
 # whenever the instances a spec draws change (a generator or the seed path).
 # Versions 1 and 2 predate the field: runs written then hold no "generator".
 GENERATOR = 3
+
+# On the pool path at most this many calls per worker are submitted and not
+# yet saved: enough to keep every worker busy while the calling thread saves
+# records and builds the next instances, few enough that an abort has little
+# queued work to cancel.
+WINDOW_PER_WORKER = 2
 
 _TASK_ORDER = {task: i for i, task in enumerate(TaskId)}
 _KIND_ORDER = {kind: i for i, kind in enumerate(SupervisionKind)}
@@ -430,28 +440,36 @@ def _load_cell_records(path: Path, instances_per_cell: int) -> dict[int, CallRec
 
 
 def _load_spec(run_dir: Path) -> ExperimentSpec | None:
+    """The run's spec, or None without a ``spec.json``; SpecError if the file holds no spec."""
     spec_path = run_dir / "spec.json"
     if not spec_path.exists():
         return None
-    return ExperimentSpec.from_json(json.loads(spec_path.read_text(encoding="utf-8")))
+    try:
+        return ExperimentSpec.from_json(json.loads(spec_path.read_text(encoding="utf-8")))
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        # invalid JSON, a missing field, or a field of the wrong JSON type
+        raise SpecError(f"{spec_path} holds no experiment spec: {type(exc).__name__}: {exc}") from exc
 
 
-def load_records(run_dir: str | Path) -> dict[tuple[str, int], CallRecord]:
-    """All records of a run that belong in their cell files, keyed by (cell, index).
+def load_records(run_dir: str | Path) -> Iterator[CallRecord]:
+    """The records of a run that belong in their cell files, one cell file after another.
 
-    Without a ``spec.json`` no index is out of range.
+    Cell files are read in sorted order, by the rules of ``_load_cell_records``,
+    and the records of one file share one ``CellKey``.  The generator lets go
+    of each record as it hands it out, so it holds at most one cell's records;
+    a caller that keeps none holds no more.  Without a ``spec.json`` no index
+    is out of range.
     """
     run_dir = Path(run_dir)
-    out: dict[tuple[str, int], CallRecord] = {}
     records_dir = _records_dir(run_dir)
     if not records_dir.is_dir():
-        return out
+        return
     spec = _load_spec(run_dir)
     instances_per_cell = spec.instances_per_cell if spec else sys.maxsize
     for path in sorted(records_dir.glob("*.jsonl")):
-        for index, record in _load_cell_records(path, instances_per_cell).items():
-            out[record.cell.label, index] = record
-    return out
+        records = _load_cell_records(path, instances_per_cell)
+        for index in list(records):
+            yield records.pop(index)
 
 
 def run_experiment(
@@ -473,7 +491,9 @@ def run_experiment(
     Each instance and its oracle are built once and handed to every pending
     kind of its (task, length, index).  With one worker the calls run in the
     calling thread, one instance at a time, and each cell file receives its
-    records in index order.
+    records in index order.  With more, a pool runs them, and the calling
+    thread keeps at most ``WINDOW_PER_WORKER`` calls per worker submitted
+    and unsaved, building the next instances only as places free up.
     """
     spec.validate()
     if workers is not None and workers < 1:
@@ -553,21 +573,26 @@ def run_experiment(
                     progress(completed, total)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                # the calling thread builds each instance before submitting its calls
-                unsaved = {
-                    pool.submit(_execute_call, spec, backend, *call): call[0] for call in calls
-                }
+                unsaved = {}
                 try:
-                    for future in as_completed(list(unsaved)):
-                        save(unsaved.pop(future), future.result())
-                        completed += 1
-                        if progress:
-                            progress(completed, total)
+                    while True:
+                        # the calling thread builds each instance as a place in the
+                        # window frees up, so no more than the window is ever queued
+                        for call in islice(calls, WINDOW_PER_WORKER * workers - len(unsaved)):
+                            unsaved[pool.submit(_execute_call, spec, backend, *call)] = call[0]
+                        if not unsaved:
+                            break
+                        done, _ = wait(unsaved, return_when=FIRST_COMPLETED)
+                        for future in done:
+                            save(unsaved.pop(future), future.result())
+                            completed += 1
+                            if progress:
+                                progress(completed, total)
                 except BaseException:
                     # without this the executor's exit would still run every queued call
                     pool.shutdown(cancel_futures=True)
-                    # save what succeeded: as_completed yields done futures in no set
-                    # order, and the calls in flight have finished during the shutdown
+                    # save what succeeded: a done set comes in no set order, and
+                    # the calls in flight have finished during the shutdown
                     for future, cell in list(unsaved.items()):
                         if not future.cancelled() and future.exception() is None:
                             save(cell, future.result())
@@ -679,31 +704,35 @@ class AccuracyTable:
         return text
 
 
-def aggregate(run_dir: str | Path, write: bool = True) -> AccuracyTable:
-    """Group a run's records by cell and compute accuracy with Wilson bounds.
+def _outcome(record: CallRecord) -> Verdict | None:
+    """What a record says about the model: its verdict, or None after a backend error."""
+    return record.verdict if record.error is None else None
 
-    A record of a call that ended in a backend error says nothing about the
+
+def aggregate(run_dir: str | Path, write: bool = True) -> AccuracyTable:
+    """Count a run's records cell by cell and compute accuracy with Wilson bounds.
+
+    The records stream from ``load_records`` and each cell is counted as its
+    records go by, so a report holds one cell's records, not the run's.  A
+    record of a call that ended in a backend error says nothing about the
     model, so it counts in ``n_error`` and not in ``n``.
     """
     run_dir = Path(run_dir)
-    records = load_records(run_dir)
-
-    by_cell: dict[str, list[CallRecord]] = {}
-    for (label, _), record in records.items():
-        by_cell.setdefault(label, []).append(record)
-
     stats = []
-    for label, cell_records in by_cell.items():
-        n_correct = n_unparseable = n_error = 0
-        for r in cell_records:
-            if r.error is not None:
-                n_error += 1
-            elif r.verdict is Verdict.CORRECT:
-                n_correct += 1
-            elif r.verdict is Verdict.UNPARSEABLE:
-                n_unparseable += 1
-        n = len(cell_records) - n_error
-        stats.append(CellStats(cell_records[0].cell, n, n_correct, n_unparseable, n_error))
+    for cell, records in groupby(load_records(run_dir), key=attrgetter("cell")):
+        # map lets go of each record once it is counted; a loop variable
+        # would keep the cell's last record alive while the next file is read
+        counts = Counter(map(_outcome, records))
+        n_error = counts[None]
+        stats.append(
+            CellStats(
+                cell,
+                counts.total() - n_error,
+                counts[Verdict.CORRECT],
+                counts[Verdict.UNPARSEABLE],
+                n_error,
+            )
+        )
     stats.sort(key=lambda s: s.cell.sort_key)
 
     spec = _load_spec(run_dir)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from cotbench.runner import CallRecord, load_records
+
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 # (fixture name, task code, supervision kind, expected extracted value)
@@ -30,3 +32,8 @@ def load_case(name: str) -> str:
 @pytest.fixture
 def case_transcripts():
     return {name: load_case(name) for name, *_ in CASE_STUDIES}
+
+
+def keyed_records(run_dir) -> dict[tuple[str, int], CallRecord]:
+    """A run's records keyed by (cell label, index), for tests that look records up."""
+    return {(record.cell.label, record.index): record for record in load_records(run_dir)}

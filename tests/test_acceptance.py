@@ -23,7 +23,6 @@ from cotbench.runner import (
     DEFAULT_LENGTHS,
     ExperimentSpec,
     aggregate,
-    load_records,
     run_experiment,
 )
 from cotbench.tasks import (
@@ -38,7 +37,7 @@ from cotbench.tasks import (
     oracle_solve,
 )
 
-from conftest import CASE_EP_LIST, CASE_ORACLES, CASE_RL_LIST, CASE_STUDIES, load_case
+from conftest import CASE_EP_LIST, CASE_ORACLES, CASE_RL_LIST, CASE_STUDIES, keyed_records, load_case
 
 
 @contextmanager
@@ -213,11 +212,11 @@ def test_criterion_5_determinism_and_resume(grid_dir):
         killed = grid_dir / "killed"
         with pytest.raises(KeyboardInterrupt):
             run_experiment(spec, _AbortAfter(17), killed, workers=4)
-        partial = len(load_records(killed))
+        partial = len(keyed_records(killed))
         assert partial < total
 
         run_experiment(spec, OracleEchoBackend(), killed, workers=4)
-        records = load_records(killed)
+        records = keyed_records(killed)
         assert len(records) == total
         by_cell: dict[str, set[int]] = {}
         for (label, index) in records:

@@ -34,6 +34,8 @@ from cotbench.tasks import (
     oracle_solve,
 )
 
+from conftest import keyed_records
+
 CFG = CompletionConfig(model="test-model", backoff_s=(0.0, 0.0, 0.0), timeout_s=5.0)
 
 
@@ -254,13 +256,13 @@ def test_runner_calls_an_overridden_complete(stub_server, tmp_path):
 
 
 def test_spec_with_retired_live_keys_loads_and_resumes(stub_server, tmp_path):
-    from cotbench.runner import ExperimentSpec, load_records, run_experiment
+    from cotbench.runner import ExperimentSpec, run_experiment
 
     # written before the live block lost its concurrency cap and in-memory recording
     block = {"kind": "live", "base_url": stub_server, "api_key": "k", "max_concurrency": 2, "record": True}
     spec = ExperimentSpec.from_json(small_live_spec(block).to_json())
     run_dir = run_experiment(spec, make_backend(spec.backend), tmp_path / "r", workers=2)
-    assert len(load_records(run_dir)) == len(StubHandler.requests_seen) == 8
+    assert len(keyed_records(run_dir)) == len(StubHandler.requests_seen) == 8
     run_experiment(spec, make_backend(spec.backend), run_dir, workers=2)
     assert len(StubHandler.requests_seen) == 8
 
@@ -286,7 +288,7 @@ class ResultStubHandler(BaseHTTPRequestHandler):
 
 def test_record_then_replay_reproduces_tables(tmp_path):
     from cotbench.prompts import SupervisionKind
-    from cotbench.runner import ExperimentSpec, aggregate, load_records, run_experiment
+    from cotbench.runner import ExperimentSpec, aggregate, run_experiment
     from cotbench.tasks import InputRendering
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), ResultStubHandler)
@@ -308,11 +310,11 @@ def test_record_then_replay_reproduces_tables(tmp_path):
         server.shutdown()
         server.server_close()
 
-    live_records = load_records(live_dir)
+    live_records = keyed_records(live_dir)
     assert all(r.error is None for r in live_records.values())
 
     replay_dir = run_experiment(spec, ReplayBackend.from_run(live_dir), tmp_path / "replay")
-    replay_records = load_records(replay_dir)
+    replay_records = keyed_records(replay_dir)
     assert all(r.error is None for r in replay_records.values())
     for key, record in live_records.items():
         assert replay_records[key].transcript == record.transcript
@@ -353,7 +355,7 @@ def test_preseeded_case_transcripts_replay_to_expected_verdicts():
 
 
 def test_replay_answers_only_the_recorded_decoding(tmp_path):
-    from cotbench.runner import aggregate, load_records, run_experiment
+    from cotbench.runner import aggregate, run_experiment
 
     spec = small_live_spec({"kind": "echo"})
     source = run_experiment(spec, OracleEchoBackend(), tmp_path / "source")
@@ -361,7 +363,7 @@ def test_replay_answers_only_the_recorded_decoding(tmp_path):
 
     other_model = replace(spec, completion=CompletionConfig(model="other"))
     other_dir = run_experiment(other_model, replay, tmp_path / "other-model")
-    assert {r.error for r in load_records(other_dir).values()} == {"MissingRecording"}
+    assert {r.error for r in keyed_records(other_dir).values()} == {"MissingRecording"}
     assert all(c.n == 0 and c.n_error == 2 for c in aggregate(other_dir, write=False).cells)
 
     slower = replace(spec, completion=CompletionConfig(model="stub", timeout_s=1.0, max_attempts=1))
@@ -370,7 +372,7 @@ def test_replay_answers_only_the_recorded_decoding(tmp_path):
 
 
 def test_replay_does_not_serve_a_call_that_ended_in_an_error(tmp_path):
-    from cotbench.runner import aggregate, load_records, run_experiment
+    from cotbench.runner import aggregate, run_experiment
 
     class FirstCallFails(OracleEchoBackend):
         calls = 0
@@ -383,14 +385,14 @@ def test_replay_does_not_serve_a_call_that_ended_in_an_error(tmp_path):
 
     spec = small_live_spec({"kind": "echo"})
     source = run_experiment(spec, FirstCallFails(), tmp_path / "source", workers=1)
-    failed = [r for r in load_records(source).values() if r.error is not None]
+    failed = [r for r in keyed_records(source).values() if r.error is not None]
     assert len(failed) == 1 and failed[0].transcript == ""
 
     replay = ReplayBackend.from_run(source)
     assert len(replay.transcripts) == 7
     assert failed[0].prompt_sha256 not in replay.transcripts
     replay_dir = run_experiment(spec, replay, tmp_path / "replay")
-    replayed = load_records(replay_dir)
+    replayed = keyed_records(replay_dir)
     key = (failed[0].cell.label, failed[0].index)
     assert replayed[key].error == "MissingRecording"
     assert aggregate(replay_dir, write=False).to_json() == aggregate(source, write=False).to_json()

@@ -223,6 +223,45 @@ class TestRunReportCompare:
         assert f"usage error: {message}" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "completion",
+        [{"model": "other"}, {"temperature": 0.7}, {"max_tokens": 100}],
+        ids=["model", "temperature", "max-tokens"],
+    )
+    def test_replay_under_other_decoding_is_usage_error(self, tmp_path, capsys, completion):
+        source = tmp_path / "source"
+        code, _, _ = run_cli(capsys, "run", "--spec", str(self.write_spec(tmp_path / "a.json")), "--out", str(source))
+        assert code == 0
+        other = self.write_spec(tmp_path / "b.json", completion=completion)
+        code, _, err = run_cli(
+            capsys, "run", "--spec", str(other), "--out", str(tmp_path / "replay"),
+            "--backend", "replay", "--store", str(source),
+        )
+        assert code == 2
+        assert f"usage error: cannot replay {source}: recorded with (model, temperature, max_tokens)" in err
+        assert not (tmp_path / "replay").exists()
+        # the same refusal when the spec itself names the replayed run
+        own = self.write_spec(
+            tmp_path / "c.json", completion=completion, backend={"kind": "replay", "store": str(source)}
+        )
+        code, _, err = run_cli(capsys, "run", "--spec", str(own), "--out", str(tmp_path / "replay"))
+        assert code == 2
+        assert f"usage error: cannot replay {source}:" in err
+        assert not (tmp_path / "replay").exists()
+
+    def test_replay_under_other_transport_settings_runs(self, tmp_path, capsys):
+        source = tmp_path / "source"
+        run_cli(capsys, "run", "--spec", str(self.write_spec(tmp_path / "a.json")), "--out", str(source))
+        other = self.write_spec(tmp_path / "b.json", completion={"timeout_s": 1.0, "max_attempts": 1})
+        code, _, err = run_cli(
+            capsys, "run", "--spec", str(other), "--out", str(tmp_path / "replay"),
+            "--backend", "replay", "--store", str(source),
+        )
+        assert code == 0, err
+        for run_dir in (source, tmp_path / "replay"):
+            assert run_cli(capsys, "report", "--run", str(run_dir))[0] == 0
+        assert (source / "table.txt").read_bytes() == (tmp_path / "replay" / "table.txt").read_bytes()
+
     def test_missing_spec_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "run", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "run"),
@@ -263,3 +302,56 @@ class TestHelp:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "usage" in out
+
+
+# spec.json texts that hold no experiment spec, each failing in another way
+MALFORMED_SPECS = pytest.mark.parametrize(
+    "text",
+    ['{"master_seed": 1}', '{"tasks": ["pc"', "[]", '{"tasks": ["zz"]}', '{"tasks": ["pc"], "completion": []}'],
+    ids=["no-tasks", "invalid-json", "list", "unknown-task", "list-completion"],
+)
+
+
+def write_small_spec(path):
+    path.write_text(json.dumps({"tasks": ["pc"], "lengths": {"pc": [20]}, "instances_per_cell": 3}))
+    return path
+
+
+def malformed_run(path, text):
+    """A run directory whose spec.json holds ``text``."""
+    (path / "records").mkdir(parents=True)
+    (path / "spec.json").write_text(text)
+    return path
+
+
+class TestMalformedRunSpec:
+    @MALFORMED_SPECS
+    def test_report_is_usage_error(self, tmp_path, capsys, text):
+        run_dir = malformed_run(tmp_path / "run", text)
+        code, out, err = run_cli(capsys, "report", "--run", str(run_dir))
+        assert code == 2
+        assert out == ""
+        assert f"usage error: {run_dir / 'spec.json'} holds no experiment spec" in err
+        assert not (run_dir / "table.json").exists()
+
+    @MALFORMED_SPECS
+    def test_replay_is_usage_error(self, tmp_path, capsys, text):
+        store = malformed_run(tmp_path / "store", text)
+        spec = write_small_spec(tmp_path / "spec.json")
+        code, _, err = run_cli(
+            capsys, "run", "--spec", str(spec), "--out", str(tmp_path / "replay"),
+            "--backend", "replay", "--store", str(store),
+        )
+        assert code == 2
+        assert f"backend error: {store / 'spec.json'} holds no experiment spec" in err
+        assert not (tmp_path / "replay").exists()
+
+    @MALFORMED_SPECS
+    def test_compare_is_compare_error(self, tmp_path, capsys, text):
+        spec = write_small_spec(tmp_path / "spec.json")
+        good = tmp_path / "a"
+        assert run_cli(capsys, "run", "--spec", str(spec), "--out", str(good))[0] == 0
+        bad = malformed_run(tmp_path / "b", text)
+        code, _, err = run_cli(capsys, "compare", "--run-a", str(good), "--run-b", str(bad))
+        assert code == 1
+        assert f"compare error: {bad / 'spec.json'} holds no experiment spec" in err

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from scipy import stats as scipy_stats
@@ -17,6 +20,7 @@ from cotbench.backends import (
     CorruptingBackend,
     OracleEchoBackend,
     RateLimited,
+    ReplayBackend,
 )
 from cotbench.extraction import Verdict, extract_result, score
 from cotbench.prompts import SupervisionKind
@@ -32,12 +36,13 @@ from cotbench.runner import (
     aggregate,
     compare_runs,
     format_accuracy,
-    load_records,
     run_experiment,
     two_proportion_z,
     wilson_interval,
 )
 from cotbench.tasks import ANSWER_KINDS, InputRendering, TaskId
+
+from conftest import keyed_records
 
 ALL_KINDS = list(SupervisionKind)
 
@@ -154,7 +159,7 @@ class TestAbort:
 
     def assert_resumes_to_clean_table(self, spec, run_dir, tmp_path):
         run_experiment(spec, OracleEchoBackend(), run_dir)
-        assert len(load_records(run_dir)) == 2000
+        assert len(keyed_records(run_dir)) == 2000
         clean_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "clean")
         assert aggregate(run_dir, write=False).to_json() == aggregate(clean_dir, write=False).to_json()
 
@@ -165,7 +170,7 @@ class TestAbort:
         with pytest.raises(AuthError):
             run_experiment(spec, backend, run_dir, workers=self.WORKERS)
         assert backend.calls <= 10 + self.WORKERS
-        records = load_records(run_dir)
+        records = keyed_records(run_dir)
         assert len(records) == backend.calls - 1
         assert all(r.error is None and r.verdict is Verdict.CORRECT for r in records.values())
         self.assert_resumes_to_clean_table(spec, run_dir, tmp_path)
@@ -181,7 +186,7 @@ class TestAbort:
         with pytest.raises(KeyboardInterrupt):
             run_experiment(spec, backend, run_dir, workers=self.WORKERS, progress=interrupt_at_ten)
         assert backend.calls <= 10 + self.WORKERS
-        assert len(load_records(run_dir)) == backend.calls
+        assert len(keyed_records(run_dir)) == backend.calls
         self.assert_resumes_to_clean_table(spec, run_dir, tmp_path)
 
 
@@ -200,14 +205,109 @@ class TestAbortOneWorker(TestAbort):
 
         run_experiment(small_spec(), ThreadRecordingBackend(), tmp_path / "run", workers=self.WORKERS)
         assert seen == {threading.get_ident()}
-        assert len(load_records(tmp_path / "run")) == 40
+        assert len(keyed_records(tmp_path / "run")) == 40
+
+
+class TestPoolWindow:
+    def test_at_most_the_window_is_submitted_and_unfinished(self, tmp_path, monkeypatch):
+        workers = 2
+        lock = threading.Lock()
+        unfinished = peak = 0
+        gate = threading.Semaphore(0)
+
+        def finished(_):
+            nonlocal unfinished
+            with lock:
+                unfinished -= 1
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                nonlocal unfinished, peak
+                future = super().submit(*args, **kwargs)
+                with lock:
+                    unfinished += 1
+                    peak = max(peak, unfinished)
+                future.add_done_callback(finished)
+                return future
+
+        class GatedBackend(OracleEchoBackend):
+            """Each call waits for a pass from the releasing thread."""
+
+            def complete(self, prompt, cfg, context=None):
+                gate.acquire()
+                return super().complete(prompt, cfg, context)
+
+        def release_one_call_at_a_time():
+            for _ in range(40):
+                time.sleep(0.002)
+                gate.release()
+
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", CountingPool)
+        releaser = threading.Thread(target=release_one_call_at_a_time)
+        releaser.start()
+        try:
+            run_dir = run_experiment(small_spec(), GatedBackend(), tmp_path / "run", workers=workers)
+        finally:
+            releaser.join(timeout=10)
+        assert not releaser.is_alive()
+        assert peak == runner.WINDOW_PER_WORKER * workers == 4
+        assert len(keyed_records(run_dir)) == 40
+
+
+class TestStreaming:
+    """A report reads one cell file at a time and lets its records go before the next."""
+
+    @pytest.fixture
+    def tracked_run(self, tmp_path, monkeypatch):
+        """An eight-cell run, weak references to every record read from it
+        from then on, and how many of those were alive at each read."""
+        spec = small_spec(
+            tasks=[TaskId.PARITY_CHECK, TaskId.EVEN_PAIRS],
+            lengths={TaskId.PARITY_CHECK: [20], TaskId.EVEN_PAIRS: [10]},
+        )
+        run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
+        refs, alive_at_read = [], []
+        load = runner._load_cell_records
+
+        def tracking_load(path, instances_per_cell):
+            gc.collect()
+            alive_at_read.append(sum(ref() is not None for ref in refs))
+            records = load(path, instances_per_cell)
+            refs.extend(weakref.ref(record) for record in records.values())
+            return records
+
+        monkeypatch.setattr(runner, "_load_cell_records", tracking_load)
+        return run_dir, refs, alive_at_read
+
+    def test_load_records_reads_nothing_until_iterated(self, tracked_run):
+        run_dir, _, alive_at_read = tracked_run
+        records = runner.load_records(run_dir)
+        assert alive_at_read == []
+        # map drops each record once counted, so only the generator could keep one
+        assert sum(map(lambda record: 1, records)) == 80
+        assert alive_at_read == [0] * 8
+
+    def test_report_holds_one_cell_at_a_time(self, tracked_run):
+        run_dir, refs, alive_at_read = tracked_run
+        table = aggregate(run_dir, write=False)
+        assert [(c.n, c.n_correct) for c in table.cells] == [(10, 10)] * 8
+        assert len(refs) == 80
+        assert alive_at_read == [0] * 8
+
+    def test_replay_keeps_transcripts_not_records(self, tracked_run):
+        run_dir, refs, _ = tracked_run
+        replay = ReplayBackend.from_run(run_dir)
+        gc.collect()
+        assert len(refs) == 80
+        assert all(ref() is None for ref in refs)
+        assert len(replay.transcripts) == 80
 
 
 class TestRunExperiment:
     def test_echo_grid_all_correct(self, tmp_path):
         spec = small_spec()
         run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
-        records = load_records(run_dir)
+        records = keyed_records(run_dir)
         assert len(records) == 40
         assert all(r.verdict is Verdict.CORRECT for r in records.values())
 
@@ -215,8 +315,8 @@ class TestRunExperiment:
         spec = small_spec()
         dir_a = run_experiment(spec, OracleEchoBackend(), tmp_path / "a")
         dir_b = run_experiment(spec, OracleEchoBackend(), tmp_path / "b")
-        instances_a = {k: v.instance for k, v in load_records(dir_a).items()}
-        instances_b = {k: v.instance for k, v in load_records(dir_b).items()}
+        instances_a = {k: v.instance for k, v in keyed_records(dir_a).items()}
+        instances_b = {k: v.instance for k, v in keyed_records(dir_b).items()}
         assert instances_a == instances_b
 
     def test_resume_fills_missing_records(self, tmp_path):
@@ -226,10 +326,10 @@ class TestRunExperiment:
         cell_file = next((run_dir / "records").glob("*.jsonl"))
         lines = cell_file.read_text().strip().split("\n")
         cell_file.write_text("\n".join(lines[:4]) + "\n" + '{"torn": ')
-        assert len(load_records(run_dir)) == 34
+        assert len(keyed_records(run_dir)) == 34
 
         run_experiment(spec, OracleEchoBackend(), run_dir)
-        records = load_records(run_dir)
+        records = keyed_records(run_dir)
         assert len(records) == 40
         per_cell = {}
         for (label, i) in records:
@@ -266,14 +366,14 @@ class TestRunExperiment:
     def test_resume_reissues_errored_calls(self, tmp_path):
         spec = small_spec(kinds=[SupervisionKind.BASE], instances_per_cell=20)
         run_dir = run_experiment(spec, FlakyBackend(failures=5), tmp_path / "run")
-        assert sum(r.error is not None for r in load_records(run_dir).values()) == 5
+        assert sum(r.error is not None for r in keyed_records(run_dir).values()) == 5
 
         healthy = FlakyBackend(failures=0)
         run_experiment(spec, healthy, run_dir)
         assert healthy.calls == 5
         (cell,) = aggregate(run_dir, write=False).cells
         assert (cell.n, cell.n_correct) == (20, 20)
-        records = load_records(run_dir)
+        records = keyed_records(run_dir)
         assert len(records) == 20 and all(r.error is None for r in records.values())
 
         # a resume with every record done issues nothing
@@ -294,7 +394,7 @@ class TestRunExperiment:
             if json.loads(line)["index"] == 2
         ]
         scot.write_text("\n".join(kept + [foreign]) + "\n")
-        assert ("pc.20.scot.list", 2) not in load_records(run_dir)
+        assert ("pc.20.scot.list", 2) not in keyed_records(run_dir)
 
         backend = StallingBackend()
         run_experiment(spec, backend, run_dir)
@@ -320,7 +420,7 @@ class TestRunExperiment:
     def test_records_of_a_cell_share_one_key(self, tmp_path):
         run_dir = run_experiment(small_spec(), OracleEchoBackend(), tmp_path / "run")
         by_label = {}
-        for (label, _), record in load_records(run_dir).items():
+        for (label, _), record in keyed_records(run_dir).items():
             by_label.setdefault(label, []).append(record.cell)
         assert len(by_label) == 4
         for label, cells in by_label.items():
@@ -354,7 +454,7 @@ class TestRunExperiment:
             run_experiment(spec, backend, run_dir)
         assert backend.calls == 0
         # an old run directory still loads and reports
-        assert len(load_records(run_dir)) == 40
+        assert len(keyed_records(run_dir)) == 40
         assert aggregate(run_dir, write=False).to_json() == before
 
     def test_worker_count_does_not_change_table(self, tmp_path):
@@ -374,7 +474,7 @@ class TestRunExperiment:
 
         spec = small_spec(instances_per_cell=2)
         run_dir = run_experiment(spec, FailingBackend(), tmp_path / "run")
-        records = load_records(run_dir)
+        records = keyed_records(run_dir)
         assert len(records) == 8
         for record in records.values():
             assert record.error == "BackendError"
@@ -384,13 +484,13 @@ class TestRunExperiment:
     def test_rescoring_stored_records_is_stable(self, tmp_path):
         spec = small_spec(instances_per_cell=5)
         run_dir = run_experiment(spec, CorruptingBackend(p=0.5, seed=2), tmp_path / "run")
-        for record in load_records(run_dir).values():
+        for record in keyed_records(run_dir).values():
             extracted = extract_result(record.transcript, ANSWER_KINDS[record.cell.task])
             assert score(extracted, record.oracle) is record.verdict
 
     def test_record_json_round_trip(self, tmp_path):
         run_dir = run_experiment(small_spec(instances_per_cell=2), OracleEchoBackend(), tmp_path / "r")
-        for record in load_records(run_dir).values():
+        for record in keyed_records(run_dir).values():
             again = CallRecord.from_json(record.to_json())
             assert again.to_json() == record.to_json()
 
@@ -459,7 +559,7 @@ class TestAggregate:
         assert (stored["n"], stored["n_error"]) == (15, 5)
         assert "5 calls ended in a backend error" in (run_dir / "table.txt").read_text()
         # the records on disk keep their verdict
-        errored = [r for r in load_records(run_dir).values() if r.error is not None]
+        errored = [r for r in keyed_records(run_dir).values() if r.error is not None]
         assert len(errored) == 5 and all(r.verdict is Verdict.UNPARSEABLE for r in errored)
 
         run_experiment(spec, FlakyBackend(failures=0), run_dir)
@@ -554,7 +654,7 @@ class TestPairedInstances:
     def by_instance(run_dir) -> dict[tuple, dict]:
         """(task, length, index) -> {kind: (instance json, oracle json)}."""
         out: dict[tuple, dict] = {}
-        for (_, index), record in load_records(run_dir).items():
+        for (_, index), record in keyed_records(run_dir).items():
             data = record.to_json()
             key = (record.cell.task, record.cell.length, index)
             out.setdefault(key, {})[record.cell.kind] = (data["instance"], data["oracle"])
