@@ -7,6 +7,10 @@ be exercised and validated offline; the replay backend serves the
 transcripts an earlier run directory recorded, so a paid live run can be
 re-scored offline; the live backend speaks the common chat-completions JSON
 shape against whatever base URL it is pointed at.
+
+Only the live backend needs ``requests``, and it imports it when it is built,
+after its API-key check.  Importing this package, and running or replaying
+on the offline backends, never loads the HTTP stack.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
-
-import requests
 
 from cotbench.extraction import format_result
 from cotbench.tasks import OracleAnswer, TaskInstance
@@ -233,15 +235,18 @@ class ReplayBackend(ModelBackend):
 
 
 class _RateLimiter:
-    """Blocking requests-per-minute limiter shared across worker threads."""
+    """Blocking requests-per-minute limiter shared across worker threads; None sets no limit."""
 
     def __init__(self, per_minute: int | None):
+        # a spec's value: anything but a positive int would fail inside the first call
+        if per_minute is not None and (type(per_minute) is not int or per_minute < 1):
+            raise ValueError(f"requests_per_minute must be a positive integer, got {per_minute!r}")
         self.per_minute = per_minute
         self._stamps: deque[float] = deque()
         self._lock = threading.Lock()
 
     def acquire(self):
-        if not self.per_minute:
+        if self.per_minute is None:
             return
         while True:
             with self._lock:
@@ -260,7 +265,9 @@ class LiveBackend(ModelBackend):
 
     Sends a single user message per call and returns the assistant text.
     Retries transport failures, 429s, and 5xx responses per the config's
-    attempt budget; auth failures surface immediately.
+    attempt budget; auth failures surface immediately.  ``requests`` is
+    imported by the constructor, once the API key is found, so a missing key
+    fails without loading it.
     """
 
     name = "live"
@@ -270,14 +277,16 @@ class LiveBackend(ModelBackend):
         base_url: str | None = None,
         api_key: str | None = None,
         requests_per_minute: int | None = None,
-        session: requests.Session | None = None,
     ):
         self.base_url = (base_url or os.environ.get(BASE_URL_ENV) or DEFAULT_BASE_URL).rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if not self.api_key:
             raise AuthError(f"no API key: set {API_KEY_ENV}")
         self._limiter = _RateLimiter(requests_per_minute)
-        self._session = session or requests.Session()
+        import requests
+
+        self._requests = requests
+        self._session = requests.Session()
 
     def complete(self, prompt, cfg, context=None):
         body = {
@@ -297,10 +306,10 @@ class LiveBackend(ModelBackend):
             self._limiter.acquire()
             try:
                 response = self._session.post(url, json=body, headers=headers, timeout=cfg.timeout_s)
-            except requests.exceptions.Timeout:
+            except self._requests.exceptions.Timeout:
                 last_error = Timeout(f"request timed out after {cfg.timeout_s}s", attempt)
                 continue
-            except requests.exceptions.RequestException as exc:
+            except self._requests.exceptions.RequestException as exc:
                 last_error = ProtocolError(f"transport failure: {exc}", attempt)
                 continue
             if response.status_code in (401, 403):

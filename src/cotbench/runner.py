@@ -439,16 +439,21 @@ def _load_cell_records(path: Path, instances_per_cell: int) -> dict[int, CallRec
     return records
 
 
+def _read_spec_file(spec_path: Path, parse: Callable[[object], object] = ExperimentSpec.from_json):
+    """``parse`` applied to the JSON in ``spec_path``; SpecError if the file holds no spec."""
+    try:
+        return parse(json.loads(spec_path.read_text(encoding="utf-8")))
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        # invalid JSON, a missing field, or a field of the wrong JSON type
+        raise SpecError(f"{spec_path} holds no experiment spec: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_spec(run_dir: Path) -> ExperimentSpec | None:
     """The run's spec, or None without a ``spec.json``; SpecError if the file holds no spec."""
     spec_path = run_dir / "spec.json"
     if not spec_path.exists():
         return None
-    try:
-        return ExperimentSpec.from_json(json.loads(spec_path.read_text(encoding="utf-8")))
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        # invalid JSON, a missing field, or a field of the wrong JSON type
-        raise SpecError(f"{spec_path} holds no experiment spec: {type(exc).__name__}: {exc}") from exc
+    return _read_spec_file(spec_path)
 
 
 def load_records(run_dir: str | Path) -> Iterator[CallRecord]:
@@ -506,7 +511,8 @@ def run_experiment(
     spec_path = run_dir / "spec.json"
     frozen = {**spec.to_json(), "generator": GENERATOR}
     if spec_path.exists():
-        stored = json.loads(spec_path.read_text(encoding="utf-8"))
+        # compared as stored, generator field included
+        stored = _read_spec_file(spec_path, parse=lambda data: data)
         if stored != frozen:
             if isinstance(stored, dict) and stored.get("generator") != GENERATOR:
                 raise SpecError(

@@ -10,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from cotbench import backends
 from cotbench.backends import (
     AuthError,
     CallContext,
@@ -23,6 +24,7 @@ from cotbench.backends import (
     RateLimited,
     ReplayBackend,
     Timeout,
+    _RateLimiter,
     make_backend,
 )
 from cotbench.extraction import Verdict, extract_result, score
@@ -223,6 +225,51 @@ class TestLiveBackend:
             backend.complete("hello", CFG)
 
 
+class FakeClock:
+    """Stands in for the ``time`` module: ``sleep`` advances ``monotonic`` and is logged."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps: list[float] = []
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+class TestRateLimiter:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(backends, "time", clock)
+        return clock
+
+    def test_third_call_in_a_minute_waits_for_the_first_to_age_out(self, clock):
+        limiter = _RateLimiter(per_minute=2)
+        limiter.acquire()
+        clock.now = 10.0
+        limiter.acquire()
+        assert clock.sleeps == []
+        clock.now = 20.0
+        limiter.acquire()
+        # released once the first stamp, taken at 0 s, is 60 s old
+        assert 60.0 <= clock.now < 60.1
+        assert sum(clock.sleeps) == pytest.approx(clock.now - 20.0)
+        # the stamps are now 10 s and about 60 s: the next call waits for the second
+        clock.sleeps.clear()
+        limiter.acquire()
+        assert 70.0 <= clock.now < 70.1
+
+    def test_no_limit_never_sleeps(self, clock):
+        limiter = _RateLimiter(None)
+        for _ in range(1000):
+            limiter.acquire()
+        assert clock.sleeps == []
+
+
 def small_live_spec(backend: dict):
     from cotbench.prompts import SupervisionKind
     from cotbench.runner import ExperimentSpec
@@ -405,6 +452,19 @@ class TestFactory:
     def test_corrupt(self):
         backend = make_backend({"kind": "corrupt", "p": 0.3, "seed": 2})
         assert backend.p == 0.3
+
+    @pytest.mark.parametrize("per_minute", [None, 30])
+    def test_live_passes_requests_per_minute(self, per_minute):
+        spec = {"kind": "live", "api_key": "k", "base_url": "http://127.0.0.1:1"}
+        if per_minute is not None:
+            spec["requests_per_minute"] = per_minute
+        assert make_backend(spec)._limiter.per_minute == per_minute
+
+    @pytest.mark.parametrize("per_minute", [0, -1, 2.5, "3", True])
+    def test_live_refuses_a_rate_that_is_not_a_positive_int(self, per_minute):
+        spec = {"kind": "live", "api_key": "k", "base_url": "http://127.0.0.1:1", "requests_per_minute": per_minute}
+        with pytest.raises(ValueError, match="requests_per_minute must be a positive integer"):
+            make_backend(spec)
 
     def test_replay_needs_store(self):
         with pytest.raises(ValueError):

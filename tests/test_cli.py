@@ -346,6 +346,18 @@ class TestMalformedRunSpec:
         assert f"backend error: {store / 'spec.json'} holds no experiment spec" in err
         assert not (tmp_path / "replay").exists()
 
+    @pytest.mark.parametrize("text", ['{"tasks": ', ""], ids=["torn", "empty"])
+    def test_resume_over_a_torn_spec_is_a_run_error(self, tmp_path, capsys, text):
+        run_dir = malformed_run(tmp_path / "run", text)
+        spec = write_small_spec(tmp_path / "spec.json")
+        code, _, err = run_cli(capsys, "run", "--spec", str(spec), "--out", str(run_dir))
+        assert code == 1
+        assert f"run error: {run_dir / 'spec.json'} holds no experiment spec: JSONDecodeError" in err
+        assert "Traceback" not in err
+        # no call was issued, and the stored spec is left as it was
+        assert list((run_dir / "records").iterdir()) == []
+        assert (run_dir / "spec.json").read_text() == text
+
     @MALFORMED_SPECS
     def test_compare_is_compare_error(self, tmp_path, capsys, text):
         spec = write_small_spec(tmp_path / "spec.json")
