@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
@@ -66,9 +66,12 @@ class PromptTemplate:
     kind: SupervisionKind
     body: str
     source: str
+    # The body split once at its placeholders: literal text at the even
+    # positions, placeholder names at the odd ones.
+    parts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    def placeholders(self) -> list[str]:
-        return PLACEHOLDER_RE.findall(self.body)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parts", tuple(PLACEHOLDER_RE.split(self.body)))
 
 
 @dataclass(frozen=True)
@@ -138,19 +141,23 @@ def render_prompt(
     """Substitute the instance into the template's placeholders.
 
     The '{{string}}' placeholder always takes the compact rendering; the
-    rendering argument selects how '{{list}}' is laid out.
+    rendering argument selects how '{{list}}' is laid out.  The input text
+    is built once per instance, so the kinds that share one reuse it.
     """
     if instance.task is not template.task:
         raise TaskMismatch(
             f"template is for {template.task.value}, instance is for {instance.task.value}"
         )
-    substitutions = {
-        "list": lambda: render_input(instance, rendering),
-        "letter": lambda: str(instance.params.get("letter", "a")),
-        "string": lambda: render_input(instance, InputRendering.COMPACT_STRING),
-    }
-    text = PLACEHOLDER_RE.sub(lambda m: substitutions[m.group(1)](), template.body)
-    return RenderedPrompt(template.task, template.kind, text, instance)
+    pieces = list(template.parts)
+    for i in range(1, len(pieces), 2):
+        name = pieces[i]
+        if name == "list":
+            pieces[i] = render_input(instance, rendering)
+        elif name == "string":
+            pieces[i] = render_input(instance, InputRendering.COMPACT_STRING)
+        else:
+            pieces[i] = str(instance.params.get("letter", "a"))
+    return RenderedPrompt(template.task, template.kind, "".join(pieces), instance)
 
 
 __all__ = [

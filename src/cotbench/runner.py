@@ -91,6 +91,10 @@ GENERATOR = 3
 # queued work to cancel.
 WINDOW_PER_WORKER = 2
 
+# One encoder for every record line: json.dumps given an option builds a new
+# encoder on each call.  Its output is json.dumps(..., ensure_ascii=False).
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
 _TASK_ORDER = {task: i for i, task in enumerate(TaskId)}
 _KIND_ORDER = {kind: i for i, kind in enumerate(SupervisionKind)}
 
@@ -243,9 +247,28 @@ def instance_seed_path(master_seed: int, task: TaskId, length: int, index: int) 
     return f"{master_seed}/{task.value}.{length}/{index}"
 
 
+def _shared_json(instance: TaskInstance, oracle: OracleAnswer) -> dict:
+    """The part of a record that every kind's record of one instance holds alike."""
+    return {
+        "instance": {
+            "elements": list(instance.elements),
+            "params": instance.params,
+            "seed_path": instance.seed_path,
+        },
+        "oracle": oracle.to_json(),
+    }
+
+
 @dataclass
 class CallRecord:
-    """Everything needed to audit or re-score one evaluation event."""
+    """Everything needed to audit or re-score one evaluation event.
+
+    A record's JSON object is three parts in a row: the call head (the
+    cell's fields, then the index), the part shared by the kinds of one
+    instance (``_shared_json``) and the call tail (``tail_json``).  A run
+    encodes the three apart (``_record_line``), each only as often as it
+    changes.
+    """
 
     cell: CellKey
     index: int
@@ -262,6 +285,15 @@ class CallRecord:
     timestamp: str
 
     def to_json(self) -> dict:
+        return {
+            **self.cell.to_json(),
+            "index": self.index,
+            **_shared_json(self.instance, self.oracle),
+            **self.tail_json(),
+        }
+
+    def tail_json(self) -> dict:
+        """What the call itself produced, from the prompt's hash on."""
         if isinstance(self.extraction, ExtractedAnswer):
             extraction = {
                 "ok": True,
@@ -276,14 +308,6 @@ class CallRecord:
                 "detail": self.extraction.detail,
             }
         return {
-            **self.cell.to_json(),
-            "index": self.index,
-            "instance": {
-                "elements": list(self.instance.elements),
-                "params": self.instance.params,
-                "seed_path": self.instance.seed_path,
-            },
-            "oracle": self.oracle.to_json(),
             "prompt_sha256": self.prompt_sha256,
             "transcript": self.transcript,
             "extraction": extraction,
@@ -338,21 +362,39 @@ class CallRecord:
             raise ValueError(f"malformed record: {exc}") from exc
 
 
+def _record_line(cell_json: str, record: CallRecord, shared_json: str) -> str:
+    """``json.dumps(record.to_json(), ensure_ascii=False)`` and a newline, from parts.
+
+    ``cell_json`` and ``shared_json`` are the encoded cell fields and shared
+    part, which the caller encodes once per cell and once per instance.
+    """
+    # an index is an int, whose JSON is its repr; json.dumps separates
+    # members with ", ", which joins the encoded objects' members too
+    tail = _ENCODER.encode(record.tail_json())
+    return f'{cell_json[:-1]}, "index": {record.index!r}, {shared_json[1:-1]}, {tail[1:]}\n'
+
+
 # The pending calls of one instance: (task, length, index, the cells still to call).
 PendingGroup = tuple[TaskId, int, int, list[CellKey]]
 
+# One call to make: (cell, index, instance, oracle), the arguments of _execute_call.
+PendingCall = tuple[CellKey, int, TaskInstance, OracleAnswer]
 
-def _paired_calls(
-    master_seed: int, pending: list[PendingGroup]
-) -> Iterator[tuple[CellKey, int, TaskInstance, OracleAnswer]]:
-    """Each pending call with its instance and oracle, built once per group when it is reached."""
+
+def _paired_calls(master_seed: int, pending: list[PendingGroup]) -> Iterator[tuple[PendingCall, str]]:
+    """Each pending call with its record's encoded shared part.
+
+    The instance, its oracle and that encoding are built once per group,
+    when the group is reached, and serve every cell of the group.
+    """
     for task, length, index, cells in pending:
         instance = generate_instance(
             task, length, seed_path=instance_seed_path(master_seed, task, length, index)
         )
         oracle = oracle_solve(task, instance)
+        shared_json = _ENCODER.encode(_shared_json(instance, oracle))
         for cell in cells:
-            yield cell, index, instance, oracle
+            yield (cell, index, instance, oracle), shared_json
 
 
 def _execute_call(
@@ -550,20 +592,23 @@ def run_experiment(
     if not pending:
         return run_dir
 
-    handles = {}
+    # by cell label: the cell file's append handle and the encoded cell fields
+    files: dict[str, tuple] = {}
 
-    def save(cell: CellKey, record: CallRecord) -> None:
-        handle = handles.get(cell.label)
-        if handle is None:
-            path = _cell_file(run_dir, cell)
+    def save(record: CallRecord, shared_json: str) -> None:
+        entry = files.get(record.cell.label)
+        if entry is None:
+            path = _cell_file(run_dir, record.cell)
             # a crash can leave a torn final line with no newline;
             # terminate it so appended records stay parseable
             needs_newline = path.exists() and path.stat().st_size > 0 and not path.read_bytes().endswith(b"\n")
             handle = open(path, "a", encoding="utf-8")
             if needs_newline:
                 handle.write("\n")
-            handles[cell.label] = handle
-        handle.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
+            entry = files[record.cell.label] = (handle, _ENCODER.encode(record.cell.to_json()))
+        handle, cell_json = entry
+        handle.write(_record_line(cell_json, record, shared_json))
+        # a killed run keeps every record saved so far
         handle.flush()
 
     calls = _paired_calls(spec.master_seed, pending)
@@ -572,8 +617,8 @@ def run_experiment(
             # calls one after another need no pool: handing each call and its
             # record between two threads only adds work whose cost depends on
             # how the host schedules them
-            for cell, index, instance, oracle in calls:
-                save(cell, _execute_call(spec, backend, cell, index, instance, oracle))
+            for call, shared_json in calls:
+                save(_execute_call(spec, backend, *call), shared_json)
                 completed += 1
                 if progress:
                     progress(completed, total)
@@ -584,13 +629,13 @@ def run_experiment(
                     while True:
                         # the calling thread builds each instance as a place in the
                         # window frees up, so no more than the window is ever queued
-                        for call in islice(calls, WINDOW_PER_WORKER * workers - len(unsaved)):
-                            unsaved[pool.submit(_execute_call, spec, backend, *call)] = call[0]
+                        for call, shared_json in islice(calls, WINDOW_PER_WORKER * workers - len(unsaved)):
+                            unsaved[pool.submit(_execute_call, spec, backend, *call)] = shared_json
                         if not unsaved:
                             break
                         done, _ = wait(unsaved, return_when=FIRST_COMPLETED)
                         for future in done:
-                            save(unsaved.pop(future), future.result())
+                            save(future.result(), unsaved.pop(future))
                             completed += 1
                             if progress:
                                 progress(completed, total)
@@ -599,12 +644,12 @@ def run_experiment(
                     pool.shutdown(cancel_futures=True)
                     # save what succeeded: a done set comes in no set order, and
                     # the calls in flight have finished during the shutdown
-                    for future, cell in list(unsaved.items()):
+                    for future, shared_json in list(unsaved.items()):
                         if not future.cancelled() and future.exception() is None:
-                            save(cell, future.result())
+                            save(future.result(), shared_json)
                     raise
     finally:
-        for handle in handles.values():
+        for handle, _ in files.values():
             handle.close()
     return run_dir
 

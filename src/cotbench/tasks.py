@@ -15,7 +15,7 @@ import random
 import string
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterator, Sequence
 
 
@@ -214,6 +214,20 @@ class TaskInstance:
         if self.task is TaskId.PALINDROME_VERIFICATION:
             return tuple(e for e in self.elements if e != PALINDROME_MARKER)
         return self.elements
+
+    # The input texts are built on first use and kept in the instance's
+    # __dict__, outside the dataclass fields, so the prompt kinds that share
+    # an instance share them too; equality and repr do not see them.
+    @cached_property
+    def compact_text(self) -> str:
+        """The symbols run together."""
+        return "".join(self.elements)
+
+    @cached_property
+    def list_text(self) -> str:
+        """The symbols as a list, each quoted so that it lands on its own token."""
+        quoted = ", ".join(f"'{e}'" for e in self.elements)
+        return f"[{quoted}]"
 
 
 def make_instance(
@@ -500,12 +514,12 @@ def render_input(instance: TaskInstance, rendering: InputRendering) -> str:
     """Render an instance's symbols as prompt text.
 
     Compact gives the raw concatenation; list form quotes each symbol
-    so that every reasoning unit lands on its own token.
+    so that every reasoning unit lands on its own token.  Each text is
+    built once per instance.
     """
     if rendering is InputRendering.COMPACT_STRING:
-        return "".join(instance.elements)
-    quoted = ", ".join(f"'{e}'" for e in instance.elements)
-    return f"[{quoted}]"
+        return instance.compact_text
+    return instance.list_text
 
 
 def instance_record(instance: TaskInstance) -> dict:

@@ -74,3 +74,24 @@ def test_requests_is_imported_when_a_live_backend_is_built(tmp_path):
         tmp_path,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_live_run_without_requests_is_a_backend_error(tmp_path):
+    result = run_python(
+        """
+        import json, os, sys
+        from pathlib import Path
+        sys.modules["requests"] = None
+        os.environ["COTBENCH_API_KEY"] = "k"
+
+        from cotbench import cli
+
+        Path("spec.json").write_text(json.dumps({"tasks": ["pc"], "lengths": {"pc": [10]}, "instances_per_cell": 2}))
+        code = cli.main(["run", "--spec", "spec.json", "--backend", "live", "--out", "out"])
+        assert code == 2, code
+        assert not Path("out").exists()
+        """,
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.startswith("backend error: the live backend needs the requests package"), result.stderr

@@ -8,6 +8,7 @@ import pytest
 
 from cotbench import prompts
 from cotbench.prompts import (
+    PLACEHOLDER_RE,
     PromptError,
     SupervisionKind,
     TaskMismatch,
@@ -46,7 +47,7 @@ class TestRegistry:
         for task in TaskId:
             for kind in SupervisionKind:
                 template = get_template(task, kind)
-                found = template.placeholders()
+                found = template.parts[1::2]
                 assert set(found) == REQUIRED_PLACEHOLDERS.get(task, {"list"}), (task, kind)
                 assert len(found) == len(set(found)), f"duplicate placeholder in {task} {kind}"
 
@@ -152,3 +153,81 @@ def PromptTemplate_like(template, new_body):
     from cotbench.prompts import PromptTemplate
 
     return PromptTemplate(template.task, template.kind, new_body, template.source)
+
+
+def reference_input(instance, rendering):
+    """An instance's input text, built as the renderer built it before it was cached."""
+    if rendering is InputRendering.COMPACT_STRING:
+        return "".join(instance.elements)
+    quoted = ", ".join(f"'{e}'" for e in instance.elements)
+    return f"[{quoted}]"
+
+
+def reference_render(template, instance, rendering):
+    """A prompt's text by one regular-expression substitution over the template body."""
+    values = {
+        "list": reference_input(instance, rendering),
+        "letter": str(instance.params.get("letter", "a")),
+        "string": reference_input(instance, InputRendering.COMPACT_STRING),
+    }
+    return PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], template.body)
+
+
+def byte_test_instances(task):
+    """Generated instances of three lengths, plus ones that set the task's parameters."""
+    instances = [generate_instance(task, n, seed_path=f"bytes/{task.value}/{n}") for n in (2, 6, 14)]
+    if task is TaskId.PARITY_CHECK:
+        instances.append(make_instance(task, list("abba"), {"letter": "b"}))
+    if task is TaskId.DUPLICATE_LIST:
+        instances.append(make_instance(task, list("xyyx"), {"alphabet": "xy"}))
+        instances.append(make_instance(task, list("éøøé"), {"alphabet": "éø"}))
+    if task is TaskId.PALINDROME_VERIFICATION:
+        instances.append(make_instance(task, list("ab#ba")))
+    return instances
+
+
+# Digests of known prompts, one per parameter a task can set.  Records and
+# replay key transcripts by a prompt's sha256, so a rendering change that
+# alters a prompt's bytes would orphan every earlier run.
+# id -> (task, kind, rendering, instance, digest)
+PINNED_PROMPTS = {
+    "pv-marker": (
+        TaskId.PALINDROME_VERIFICATION, SupervisionKind.SUPERVISED_COT, InputRendering.LIST_FIED,
+        lambda: generate_instance(TaskId.PALINDROME_VERIFICATION, 14, seed_path="bytes/pv/14"),
+        "3a4c15c28f0ee9b04cbc8220dd6e64e1a29351a9188c484dc50083f9a73da0e9",
+    ),
+    "pc-letter": (
+        TaskId.PARITY_CHECK, SupervisionKind.BASE, InputRendering.COMPACT_STRING,
+        lambda: make_instance(TaskId.PARITY_CHECK, list("abba"), {"letter": "b"}),
+        "8c0b1422d9e34d718c7d3ef6e7c473cf9e034e037149fca6e31e23337c5fa5bf",
+    ),
+    "dl-alphabet": (
+        TaskId.DUPLICATE_LIST, SupervisionKind.UNSUPERVISED_COT, InputRendering.LIST_FIED,
+        lambda: make_instance(TaskId.DUPLICATE_LIST, list("éøøé"), {"alphabet": "éø"}),
+        "09b7e5c5203bd004176e48b92cc2c906232244eea1300e48ac5e99e2272b83e1",
+    ),
+    "sl-generated": (
+        TaskId.SORTING_LIST, SupervisionKind.SUBOPTIMAL_SUPERVISED_COT, InputRendering.LIST_FIED,
+        lambda: generate_instance(TaskId.SORTING_LIST, 6, seed_path="bytes/sl/6"),
+        "b311fbc9cbeb5f904340e3f1de2e55ea43efdfabc58186a1968fd7711f887b60",
+    ),
+}
+
+
+class TestByteIdentical:
+    """Rendering fills pre-split templates with cached input texts; the prompts stay the same bytes."""
+
+    @pytest.mark.parametrize("task", list(TaskId))
+    @pytest.mark.parametrize("kind", list(SupervisionKind))
+    def test_render_matches_substitution(self, task, kind):
+        template = get_template(task, kind)
+        for instance in byte_test_instances(task):
+            # both renderings of one instance, so each reads its own cached text
+            for rendering in (*InputRendering, *reversed(InputRendering)):
+                expected = reference_render(template, instance, rendering)
+                assert render_prompt(template, instance, rendering).text == expected
+
+    @pytest.mark.parametrize("case", sorted(PINNED_PROMPTS))
+    def test_pinned_prompt_hashes(self, case):
+        task, kind, rendering, make, digest = PINNED_PROMPTS[case]
+        assert render_prompt(get_template(task, kind), make(), rendering).sha256 == digest

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import threading
 import time
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -16,13 +18,14 @@ from cotbench import runner
 from cotbench.backends import (
     AuthError,
     BackendError,
+    Completion,
     CompletionConfig,
     CorruptingBackend,
     OracleEchoBackend,
     RateLimited,
     ReplayBackend,
 )
-from cotbench.extraction import Verdict, extract_result, score
+from cotbench.extraction import FailureReason, Verdict, extract_result, score
 from cotbench.prompts import SupervisionKind
 from cotbench.runner import (
     AccuracyTable,
@@ -40,7 +43,7 @@ from cotbench.runner import (
     two_proportion_z,
     wilson_interval,
 )
-from cotbench.tasks import ANSWER_KINDS, InputRendering, TaskId
+from cotbench.tasks import ANSWER_KINDS, AnswerKind, InputRendering, TaskId
 
 from conftest import keyed_records
 
@@ -725,3 +728,68 @@ class TestPairedInstances:
         for path in files:
             indices = [json.loads(line)["index"] for line in path.read_text().splitlines()]
             assert indices == list(range(spec.instances_per_cell))
+
+
+class MixedOutcomeBackend(OracleEchoBackend):
+    """Echo backend whose outcome is chosen by the prompt's hash, whatever the call order.
+
+    Of every five prompts one raises a backend error with a non-ASCII
+    detail, one gets a transcript with no result, one a result of the wrong
+    type, one a non-ASCII transcript that ends in the right answer, and one
+    the plain echo.
+    """
+
+    def complete(self, prompt, cfg, context=None):
+        slot = int(hashlib.sha256(prompt.encode("utf-8")).hexdigest(), 16) % 5
+        if slot == 0:
+            raise BackendError("upstream answered «überlastet» – 503", attempts=2)
+        if slot == 1:
+            return Completion("Keine Antwort.")
+        if slot == 2:
+            wrong = "True" if ANSWER_KINDS[context.instance.task] is AnswerKind.TEXT else "'zz'"
+            return Completion("{'Result': " + wrong + "}")
+        echo = super().complete(prompt, cfg, context)
+        return Completion("Schritt für Schritt → " + echo.text) if slot == 3 else echo
+
+
+class TestRecordLines:
+    """A run writes each record's line from parts encoded once per cell and per instance."""
+
+    def spec(self):
+        tasks = [TaskId.PARITY_CHECK, TaskId.PALINDROME_VERIFICATION, TaskId.DUPLICATE_LIST, TaskId.EVEN_PAIRS]
+        return small_spec(tasks=tasks, lengths={task: [6, 8] for task in tasks}, instances_per_cell=5)
+
+    @staticmethod
+    def lines(run_dir) -> dict[str, list[str]]:
+        return {
+            path.name: path.read_text(encoding="utf-8").splitlines()
+            for path in sorted((run_dir / "records").glob("*.jsonl"))
+        }
+
+    def test_lines_are_the_records_json_dumps(self, tmp_path):
+        spec = self.spec()
+        runs = {
+            workers: self.lines(run_experiment(spec, MixedOutcomeBackend(), tmp_path / f"w{workers}", workers=workers))
+            for workers in (1, 2)
+        }
+        outcomes = Counter()
+        for files in runs.values():
+            assert len(files) == len(spec.cells())
+            for lines in files.values():
+                assert len(lines) == spec.instances_per_cell
+                for line in lines:
+                    record = CallRecord.from_json(json.loads(line))
+                    assert line == json.dumps(record.to_json(), ensure_ascii=False)
+                    outcomes[record.error or getattr(record.extraction, "reason", "ok")] += 1
+        assert {"BackendError", FailureReason.NO_RESULT_FOUND, FailureReason.TYPE_MISMATCH, "ok"} <= set(outcomes)
+
+        def without_timing(files):
+            out = {}
+            for name, lines in files.items():
+                records = [json.loads(line) for line in lines]
+                for data in records:
+                    del data["latency_s"], data["timestamp"]
+                out[name] = sorted(records, key=lambda data: data["index"])
+            return out
+
+        assert without_timing(runs[1]) == without_timing(runs[2])
