@@ -8,7 +8,6 @@ scores the concluding answers, and aggregates accuracy grids.
 from cotbench.backends import (
     CallContext,
     Completion,
-    CompletionConfig,
     CorruptingBackend,
     LiveBackend,
     ModelBackend,
@@ -39,30 +38,20 @@ from cotbench.prompts import (
     get_template,
     render_prompt,
 )
-from cotbench.runner import (
-    AccuracyTable,
-    CallRecord,
-    CellKey,
-    DEFAULT_LENGTHS,
-    ExperimentSpec,
-    aggregate,
-    compare_runs,
-    run_experiment,
-    wilson_interval,
-)
+from cotbench.rundir import CallRecord, CellKey, CompletionConfig, ExperimentSpec
+from cotbench.runner import AccuracyTable, aggregate, compare_runs, run_experiment, wilson_interval
 from cotbench.tasks import (
+    DEFAULT_LENGTHS,
     AnswerKind,
     InputRendering,
     OracleAnswer,
     TaskId,
     TaskInstance,
-    TaskLevel,
     brute_force_oracle,
     generate_instance,
     make_instance,
     oracle_solve,
     render_input,
-    task_level,
 )
 
 __all__ = [
@@ -92,7 +81,6 @@ __all__ = [
     "SupervisionKind",
     "TaskId",
     "TaskInstance",
-    "TaskLevel",
     "Verdict",
     "aggregate",
     "answer_space_census",
@@ -110,7 +98,6 @@ __all__ = [
     "render_prompt",
     "run_experiment",
     "score",
-    "task_level",
     "template_count",
     "wilson_interval",
 ]

@@ -4,9 +4,11 @@ Every backend exposes the same call shape: prompt text in, a ``Completion``
 out, which carries the transcript and the attempts spent on it.  The
 synthetic backends (oracle echo, corrupting) exist so the whole harness can
 be exercised and validated offline; the replay backend serves the
-transcripts an earlier run directory recorded, so a paid live run can be
-re-scored offline; the live backend speaks the common chat-completions JSON
-shape against whatever base URL it is pointed at.
+transcripts an earlier run directory recorded, which it reads through
+``rundir``, so a paid live run can be re-scored offline; the live backend
+speaks the common chat-completions JSON shape against whatever base URL it
+is pointed at.  The decoding settings of a call, ``CompletionConfig``, are
+part of a run's spec, so they live in ``rundir`` with it.
 
 Only the live backend needs ``requests``, and it imports it when it is built,
 after its API-key check.  Importing this package, and running or replaying
@@ -26,6 +28,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from cotbench.extraction import format_result
+from cotbench.rundir import CompletionConfig, load_records, load_spec
 from cotbench.tasks import OracleAnswer, TaskInstance
 
 API_KEY_ENV = "COTBENCH_API_KEY"
@@ -59,39 +62,6 @@ class ProtocolError(BackendError):
 
 class MissingRecording(BackendError):
     pass
-
-
-@dataclass(frozen=True)
-class CompletionConfig:
-    """Decoding and transport settings of a run, frozen in its ``spec.json``."""
-
-    model: str = "gpt-4o-mini"
-    temperature: float = 0.0
-    max_tokens: int = 4096
-    timeout_s: float = 120.0
-    max_attempts: int = 3
-    backoff_s: tuple[float, ...] = (1.0, 2.0, 4.0)
-
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "timeout_s": self.timeout_s,
-            "max_attempts": self.max_attempts,
-            "backoff_s": list(self.backoff_s),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "CompletionConfig":
-        return CompletionConfig(
-            model=data.get("model", "gpt-4o-mini"),
-            temperature=data.get("temperature", 0.0),
-            max_tokens=data.get("max_tokens", 4096),
-            timeout_s=data.get("timeout_s", 120.0),
-            max_attempts=data.get("max_attempts", 3),
-            backoff_s=tuple(data.get("backoff_s", (1.0, 2.0, 4.0))),
-        )
 
 
 @dataclass(frozen=True)
@@ -203,9 +173,7 @@ class ReplayBackend(ModelBackend):
     @staticmethod
     def from_run(run_dir: str | Path) -> "ReplayBackend":
         """The transcripts of a run directory's records, except calls that ended in an error."""
-        from cotbench.runner import _load_spec, load_records  # runner imports this module
-
-        spec = _load_spec(Path(run_dir))
+        spec = load_spec(Path(run_dir))
         if spec is None:
             raise ValueError(f"no spec.json in {run_dir}: replay needs a run directory")
         transcripts = {

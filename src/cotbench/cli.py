@@ -21,17 +21,10 @@ from cotbench.complexity import (
     template_count,
 )
 from cotbench.prompts import PromptError, SupervisionKind, get_template, render_prompt
-from cotbench.runner import (
-    DEFAULT_LENGTHS,
-    ExperimentSpec,
-    RunnerError,
-    SpecError,
-    aggregate,
-    compare_runs,
-    run_experiment,
-    stderr_progress,
-)
+from cotbench.rundir import RunnerError, SpecError, is_run_dir, read_spec
+from cotbench.runner import aggregate, compare_runs, run_experiment, stderr_progress
 from cotbench.tasks import (
+    DEFAULT_LENGTHS,
     InputRendering,
     TaskId,
     UnsupportedLength,
@@ -46,25 +39,19 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def _task(text: str) -> TaskId:
-    try:
-        return TaskId.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _enum_arg(cls):
+    """An argparse type that parses a member of ``cls``, its ValueError as a usage error."""
+
+    def parse(text: str):
+        try:
+            return cls.parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return parse
 
 
-def _kind(text: str) -> SupervisionKind:
-    try:
-        return SupervisionKind.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _rendering(text: str) -> InputRendering:
-    try:
-        return InputRendering.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+_task, _kind, _rendering = _enum_arg(TaskId), _enum_arg(SupervisionKind), _enum_arg(InputRendering)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,8 +146,8 @@ def cmd_run(args) -> int:
             print(f"usage error: {flag} needs --backend {kind}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        spec = ExperimentSpec.from_json(json.loads(args.spec.read_text(encoding="utf-8")))
-    except (OSError, ValueError, KeyError) as exc:
+        spec, _ = read_spec(args.spec)
+    except (OSError, SpecError) as exc:
         print(f"bad spec file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.backend:
@@ -198,7 +185,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if not (args.run / "records").is_dir():
+    if not is_run_dir(args.run):
         print(f"not a run directory: {args.run}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -212,6 +199,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    for run_dir in (args.run_a, args.run_b):
+        if not is_run_dir(run_dir):
+            print(f"not a run directory: {run_dir}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         table = compare_runs(args.run_a, args.run_b)
     except RunnerError as exc:

@@ -82,16 +82,6 @@ class AnswerSpaceCensus:
     def density(self) -> Fraction:
         return Fraction(self.correct, self.total)
 
-    def to_json(self) -> dict:
-        return {
-            "task": self.task.value,
-            "length": self.length,
-            "model": self.model.value,
-            "total": self.total,
-            "correct": self.correct,
-            "density": f"{self.density.numerator}/{self.density.denominator}",
-        }
-
 
 def reference_instance(task: TaskId, length: int) -> TaskInstance:
     """Deterministic instance used when a census is asked for by length only.
@@ -165,14 +155,6 @@ def answer_space_census(
 class DensityReport:
     rows: list[AnswerSpaceCensus]
     failures: list[tuple[TaskId, int, str]]
-
-    def to_json(self) -> dict:
-        return {
-            "cells": [r.to_json() for r in self.rows],
-            "failures": [
-                {"task": t.value, "length": length, "error": msg} for t, length, msg in self.failures
-            ],
-        }
 
     def format_text(self) -> str:
         headers = ["Task", "Len", "Model", "Correct", "Total", "Density"]

@@ -37,7 +37,6 @@ class Verdict(Enum):
 class FailureReason(Enum):
     NO_RESULT_FOUND = "NoResultFound"
     TYPE_MISMATCH = "TypeMismatch"
-    AMBIGUOUS_CONFLICT = "AmbiguousConflict"
 
 
 @dataclass(frozen=True)
@@ -93,33 +92,6 @@ def extract_result(transcript: str, kind: AnswerKind) -> ExtractedAnswer | Extra
             f"expected {kind.value}, found {last.group('value')!r}",
         )
     return ExtractedAnswer(last.group(0), value, kind, last.start())
-
-
-def detect_conflict(transcript: str, kind: AnswerKind) -> ExtractionFailure | None:
-    """Audit helper: flag transcripts that state conflicting results.
-
-    Reports AmbiguousConflict when two well-typed result expressions carry
-    different values and the transcript does not conclude with one (only
-    whitespace or a closing code fence may follow the final expression).
-    Scoring itself stays on the last-occurrence rule, so trailing prose
-    can never flip a verdict.
-    """
-    values = []
-    end_of_last = None
-    for match in RESULT_RE.finditer(transcript):
-        value = _coerce(match.group("value"), kind)
-        if value is not None:
-            values.append(value)
-            end_of_last = match.end()
-    if len(set(map(repr, values))) < 2:
-        return None
-    tail = transcript[end_of_last:]
-    if re.fullmatch(r"[\s`]*", tail):
-        return None
-    return ExtractionFailure(
-        FailureReason.AMBIGUOUS_CONFLICT,
-        f"{len(values)} differing results, none in final position",
-    )
 
 
 def score(extracted: ExtractedAnswer | ExtractionFailure, oracle: OracleAnswer) -> Verdict:

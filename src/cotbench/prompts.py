@@ -76,10 +76,7 @@ class PromptTemplate:
 
 @dataclass(frozen=True)
 class RenderedPrompt:
-    task: TaskId
-    kind: SupervisionKind
     text: str
-    instance: TaskInstance
 
     @property
     def sha256(self) -> str:
@@ -157,7 +154,7 @@ def render_prompt(
             pieces[i] = render_input(instance, InputRendering.COMPACT_STRING)
         else:
             pieces[i] = str(instance.params.get("letter", "a"))
-    return RenderedPrompt(template.task, template.kind, "".join(pieces), instance)
+    return RenderedPrompt("".join(pieces))
 
 
 __all__ = [

@@ -1,0 +1,519 @@
+"""The run directory: its spec, its records, and the one module that reads and writes them.
+
+A run is a directory: ``spec.json`` freezes the experiment definition,
+``records/<cell>.jsonl`` collects one call record per line, and
+``table.json`` / ``table.txt`` hold the aggregates.  Records are keyed by
+(cell, index) so interrupted runs resume without duplicating work.  A
+report reads the records one cell file at a time, so it holds one cell's
+records whatever the size of the run.
+
+``spec.json`` also records the version of the instance stream
+(``GENERATOR``), and a run directory written with another stream is not
+resumed.  ``read_spec`` is the one reader of a spec file, the run's own and
+the one ``cotbench run --spec`` is given alike.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache
+from pathlib import Path
+from typing import Callable, Iterator
+
+from cotbench.extraction import ExtractedAnswer, ExtractionFailure, FailureReason, Verdict
+from cotbench.prompts import SupervisionKind
+from cotbench.tasks import (
+    ANSWER_KINDS,
+    DEFAULT_LENGTHS,
+    InputRendering,
+    MalformedInstance,
+    OracleAnswer,
+    TaskId,
+    TaskInstance,
+    make_instance,
+)
+
+# Version of the instance stream, frozen into each run's spec.json.  Bump it
+# whenever the instances a spec draws change (a generator or the seed path).
+# Versions 1 and 2 predate the field: runs written then hold no "generator".
+GENERATOR = 3
+
+SPEC_FILE = "spec.json"
+
+# One encoder for every record line: json.dumps given an option builds a new
+# encoder on each call.  Its output is json.dumps(..., ensure_ascii=False).
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+_TASK_ORDER = {task: i for i, task in enumerate(TaskId)}
+_KIND_ORDER = {kind: i for i, kind in enumerate(SupervisionKind)}
+
+
+class RunnerError(Exception):
+    pass
+
+
+class SpecError(RunnerError):
+    """Experiment spec is invalid or conflicts with an existing run."""
+
+
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a number", list: "a list", dict: "an object",
+               tuple: "a list of numbers"}
+
+
+def _typed(value, like: type, name: str):
+    """``value`` if it has the JSON type ``like`` stands for (a list comes back a tuple for
+    ``tuple``); TypeError if not.  An integer passes for a number, a bool for neither."""
+    number = (int, float)
+    if like is tuple:
+        ok = type(value) is list and all(type(v) in number for v in value)
+    else:
+        ok = type(value) in (number if like is float else (like,))
+    if not ok:
+        raise TypeError(f"{name} must be {_JSON_TYPES[like]}, not {json.dumps(value)}")
+    return tuple(value) if like is tuple else value
+
+
+@dataclass(frozen=True)
+class CompletionConfig:
+    """Decoding and transport settings of a run, frozen in its ``spec.json``."""
+
+    model: str = "gpt-4o-mini"
+    temperature: float = 0.0
+    max_tokens: int = 4096
+    timeout_s: float = 120.0
+    max_attempts: int = 3
+    backoff_s: tuple[float, ...] = (1.0, 2.0, 4.0)
+
+    def to_json(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"backoff_s": list(self.backoff_s)}
+
+    @staticmethod
+    def from_json(data: dict) -> "CompletionConfig":
+        """The settings a spec's completion object gives, each one it leaves out at its default.
+
+        Each field must have the JSON type of its default; TypeError if not.
+        """
+        _typed(data, dict, "completion")
+        return CompletionConfig(**{
+            f.name: _typed(data[f.name], type(f.default), f"completion.{f.name}")
+            for f in fields(CompletionConfig)
+            if f.name in data
+        })
+
+
+@dataclass(frozen=True)
+class CellKey:
+    """One (task, length, kind, rendering) combination of the grid."""
+
+    task: TaskId
+    length: int
+    kind: SupervisionKind
+    rendering: InputRendering
+
+    @cached_property
+    def label(self) -> str:
+        return f"{self.task.value}.{self.length}.{self.kind.value}.{self.rendering.value}"
+
+    @property
+    def sort_key(self):
+        return (_TASK_ORDER[self.task], self.length, _KIND_ORDER[self.kind], self.rendering.value)
+
+    def to_json(self) -> dict:
+        return {
+            "task": self.task.value,
+            "length": self.length,
+            "kind": self.kind.value,
+            "rendering": self.rendering.value,
+        }
+
+    @staticmethod
+    def from_json(data: dict) -> "CellKey":
+        """The shared key of the cell a record names; equal fields give the same object."""
+        return _cell_key(data["task"], data["length"], data["kind"], data["rendering"])
+
+
+# The records of one cell file name one cell, so the most recent keys are
+# all a decode needs; the bound caps what files naming many cells can add.
+@lru_cache(maxsize=1024)
+def _cell_key(task, length, kind, rendering) -> CellKey:
+    return CellKey(
+        TaskId.parse(task),
+        int(length),
+        SupervisionKind.parse(kind),
+        InputRendering.parse(rendering),
+    )
+
+
+@dataclass
+class ExperimentSpec:
+    """Declarative description of a full experiment grid."""
+
+    tasks: list[TaskId]
+    lengths: dict[TaskId, list[int]]
+    kinds: list[SupervisionKind] = field(default_factory=lambda: list(SupervisionKind))
+    rendering: InputRendering = InputRendering.LIST_FIED
+    instances_per_cell: int = 50
+    master_seed: int = 0
+    backend: dict = field(default_factory=lambda: {"kind": "echo"})
+    completion: CompletionConfig = field(default_factory=CompletionConfig)
+    workers: int = 4
+
+    def validate(self) -> None:
+        if not self.tasks:
+            raise SpecError("spec lists no tasks")
+        if self.instances_per_cell < 1:
+            raise SpecError("instances_per_cell must be positive")
+        if self.workers < 1:
+            raise SpecError("workers must be positive")
+        if self.completion.max_attempts < 1:
+            raise SpecError("completion.max_attempts must be positive")
+        if not self.completion.backoff_s or min(self.completion.backoff_s) < 0:
+            raise SpecError("completion.backoff_s must list at least one delay, none negative")
+        if len(set(self.tasks)) != len(self.tasks):
+            raise SpecError("duplicate tasks in spec")
+        for task in self.tasks:
+            lengths = self.lengths.get(task)
+            if not lengths:
+                raise SpecError(f"no lengths for task {task.value}")
+            if len(set(lengths)) != len(lengths):
+                raise SpecError(f"duplicate lengths for task {task.value}")
+            for length in lengths:
+                if length < 2:
+                    raise SpecError(f"{task.value} length {length} below minimum 2")
+                if task in (TaskId.PALINDROME_VERIFICATION, TaskId.EQUAL_NUMBER) and length % 2:
+                    raise SpecError(f"{task.value} requires even lengths, got {length}")
+
+    def cells(self) -> list[CellKey]:
+        return [
+            CellKey(task, length, kind, self.rendering)
+            for task in self.tasks
+            for length in self.lengths[task]
+            for kind in self.kinds
+        ]
+
+    def to_json(self) -> dict:
+        return {
+            "tasks": [t.value for t in self.tasks],
+            "lengths": {t.value: list(self.lengths[t]) for t in self.tasks},
+            "kinds": [k.value for k in self.kinds],
+            "rendering": self.rendering.value,
+            "instances_per_cell": self.instances_per_cell,
+            "master_seed": self.master_seed,
+            "backend": self.backend,
+            "completion": self.completion.to_json(),
+            "workers": self.workers,
+        }
+
+    @staticmethod
+    def from_json(data: dict) -> "ExperimentSpec":
+        """The spec a JSON object gives.
+
+        Each field it leaves out takes its default, and each task it gives
+        no lengths its ``DEFAULT_LENGTHS``.  TypeError for a field of the
+        wrong JSON type, ValueError for an unknown name, KeyError without
+        ``tasks``.
+        """
+        _typed(data, dict, "a spec")
+        tasks = [TaskId.parse(t) for t in _typed(data["tasks"], list, "tasks")]
+        raw_lengths = _typed(data.get("lengths") or {}, dict, "lengths")
+        lengths = {}
+        for task in tasks:
+            if task.value in raw_lengths:
+                name = f"lengths.{task.value}"
+                given = _typed(raw_lengths[task.value], list, name)
+                lengths[task] = [_typed(x, int, f"{name}[{i}]") for i, x in enumerate(given)]
+            else:
+                lengths[task] = list(DEFAULT_LENGTHS[task])
+        ints = ("instances_per_cell", "master_seed", "workers")
+        given = {name: _typed(data[name], int, name) for name in ints if name in data}
+        if "kinds" in data:
+            given["kinds"] = [SupervisionKind.parse(k) for k in _typed(data["kinds"], list, "kinds")]
+        if "rendering" in data:
+            given["rendering"] = InputRendering.parse(data["rendering"])
+        if "backend" in data:
+            given["backend"] = _typed(data["backend"], dict, "backend")
+        if "completion" in data:
+            given["completion"] = CompletionConfig.from_json(data["completion"])
+        return ExperimentSpec(tasks, lengths, **given)
+
+
+def _shared_json(instance: TaskInstance, oracle: OracleAnswer) -> dict:
+    """The part of a record that every kind's record of one instance holds alike."""
+    return {
+        "instance": {
+            "elements": list(instance.elements),
+            "params": instance.params,
+            "seed_path": instance.seed_path,
+        },
+        "oracle": oracle.to_json(),
+    }
+
+
+def encode_shared(instance: TaskInstance, oracle: OracleAnswer) -> str:
+    """The encoded shared part of the records of one instance, for ``record_appender``."""
+    return _ENCODER.encode(_shared_json(instance, oracle))
+
+
+@dataclass
+class CallRecord:
+    """Everything needed to audit or re-score one evaluation event.
+
+    A record's JSON object is three parts in a row: the call head (the
+    cell's fields, then the index), the part shared by the kinds of one
+    instance (``_shared_json``) and the call tail (``tail_json``).  A run
+    encodes the three apart (``_record_line``), each only as often as it
+    changes.
+    """
+
+    cell: CellKey
+    index: int
+    instance: TaskInstance
+    oracle: OracleAnswer
+    prompt_sha256: str
+    transcript: str
+    extraction: ExtractedAnswer | ExtractionFailure
+    verdict: Verdict
+    error: str | None
+    error_detail: str
+    latency_s: float
+    attempts: int
+    timestamp: str
+
+    def to_json(self) -> dict:
+        return {
+            **self.cell.to_json(),
+            "index": self.index,
+            **_shared_json(self.instance, self.oracle),
+            **self.tail_json(),
+        }
+
+    def tail_json(self) -> dict:
+        """What the call itself produced, from the prompt's hash on."""
+        if isinstance(self.extraction, ExtractedAnswer):
+            extraction = {
+                "ok": True,
+                "value": self.extraction.value,
+                "raw_span": self.extraction.raw_span,
+                "position": self.extraction.position,
+            }
+        else:
+            extraction = {
+                "ok": False,
+                "reason": self.extraction.reason.value,
+                "detail": self.extraction.detail,
+            }
+        return {
+            "prompt_sha256": self.prompt_sha256,
+            "transcript": self.transcript,
+            "extraction": extraction,
+            "verdict": self.verdict.value,
+            "error": self.error,
+            "error_detail": self.error_detail,
+            "latency_s": self.latency_s,
+            "attempts": self.attempts,
+            "timestamp": self.timestamp,
+        }
+
+    @staticmethod
+    def from_json(data: dict) -> "CallRecord":
+        """Decode one record; ValueError, KeyError or MalformedInstance if ``data`` is not one."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a record is a JSON object, not {type(data).__name__}")
+        try:
+            cell = CellKey.from_json(data)
+            kind = ANSWER_KINDS[cell.task]
+            instance = make_instance(
+                cell.task,
+                data["instance"]["elements"],
+                data["instance"].get("params") or {},
+                data["instance"].get("seed_path", ""),
+            )
+            oracle = OracleAnswer.from_json(kind, data["oracle"])
+            raw = data["extraction"]
+            extraction: ExtractedAnswer | ExtractionFailure
+            if not isinstance(raw, dict):
+                raise ValueError(f"extraction is a JSON object, not {type(raw).__name__}")
+            if raw.get("ok"):
+                extraction = ExtractedAnswer(raw["raw_span"], raw["value"], kind, raw["position"])
+            else:
+                extraction = ExtractionFailure(FailureReason(raw["reason"]), raw.get("detail", ""))
+            return CallRecord(
+                cell=cell,
+                index=int(data["index"]),
+                instance=instance,
+                oracle=oracle,
+                prompt_sha256=data["prompt_sha256"],
+                transcript=data["transcript"],
+                extraction=extraction,
+                verdict=Verdict(data["verdict"]),
+                error=data.get("error"),
+                error_detail=data.get("error_detail", ""),
+                latency_s=data.get("latency_s", 0.0),
+                attempts=data.get("attempts", 1),
+                timestamp=data.get("timestamp", ""),
+            )
+        except TypeError as exc:
+            # a field of the wrong JSON type, such as a list where text belongs
+            raise ValueError(f"malformed record: {exc}") from exc
+
+
+def _record_line(cell_json: str, record: CallRecord, shared_json: str) -> str:
+    """``json.dumps(record.to_json(), ensure_ascii=False)`` and a newline, from parts.
+
+    ``cell_json`` and ``shared_json`` are the encoded cell fields and shared
+    part, which are encoded once per cell and once per instance.
+    """
+    # an index is an int, whose JSON is its repr; json.dumps separates
+    # members with ", ", which joins the encoded objects' members too
+    tail = _ENCODER.encode(record.tail_json())
+    return f'{cell_json[:-1]}, "index": {record.index!r}, {shared_json[1:-1]}, {tail[1:]}\n'
+
+
+def records_dir(run_dir: Path) -> Path:
+    return run_dir / "records"
+
+
+def cell_file(run_dir: Path, cell: CellKey) -> Path:
+    return records_dir(run_dir) / f"{cell.label}.jsonl"
+
+
+def is_run_dir(path: str | Path) -> bool:
+    """Whether ``path`` is a run directory, that is, one that holds a records directory."""
+    return records_dir(Path(path)).is_dir()
+
+
+def read_spec(path: Path) -> tuple[ExperimentSpec, dict]:
+    """The spec in the file at ``path`` and the JSON object it was read from.
+
+    SpecError if the file holds no spec: invalid JSON, no tasks, a field of
+    the wrong JSON type, or an unknown task, kind or rendering.
+    """
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        return ExperimentSpec.from_json(data), data
+    except (KeyError, ValueError, TypeError) as exc:
+        raise SpecError(f"{path} holds no experiment spec: {type(exc).__name__}: {exc}") from exc
+
+
+def load_spec(run_dir: Path) -> ExperimentSpec | None:
+    """The run's spec, or None without a ``spec.json``; SpecError if the file holds no spec."""
+    path = run_dir / SPEC_FILE
+    if not path.exists():
+        return None
+    return read_spec(path)[0]
+
+
+def init_run_dir(run_dir: Path, spec: ExperimentSpec) -> None:
+    """Make the run directory and freeze ``spec`` into its ``spec.json``, or check the stored one.
+
+    The stored spec is compared as stored, generator field included:
+    SpecError if it holds no spec, another spec, or one drawn from another
+    instance stream.
+    """
+    records_dir(run_dir).mkdir(parents=True, exist_ok=True)
+    path = run_dir / SPEC_FILE
+    frozen = {**spec.to_json(), "generator": GENERATOR}
+    if not path.exists():
+        path.write_text(json.dumps(frozen, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        return
+    _, stored = read_spec(path)
+    if stored != frozen:
+        if stored.get("generator") != GENERATOR:
+            raise SpecError(
+                f"{path} was written with instance stream "
+                f"{stored.get('generator', '1 or 2')}, and this version draws stream "
+                f"{GENERATOR}: the instances changed, so refusing to resume across "
+                "an instance-stream change; start a new run directory"
+            )
+        raise SpecError(f"{path} holds a different spec; refusing to mix runs")
+
+
+def load_cell_records(path: Path, instances_per_cell: int) -> dict[int, CallRecord]:
+    """Parse one cell file, keeping only the records that belong in it.
+
+    A torn line, JSON that is not a record and a malformed instance are all
+    skipped, and so is a record of another cell or with an index outside
+    ``0 .. instances_per_cell - 1``.  Of several records for one index the
+    last one wins, so a call re-issued on resume replaces the error it was
+    re-issued for.
+    """
+    records: dict[int, CallRecord] = {}
+    if not path.exists():
+        return records
+    label = path.stem
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = CallRecord.from_json(json.loads(line))
+            except (ValueError, KeyError, MalformedInstance):
+                continue
+            if record.cell.label == label and 0 <= record.index < instances_per_cell:
+                records[record.index] = record
+    return records
+
+
+def load_records(run_dir: str | Path) -> Iterator[CallRecord]:
+    """The records of a run that belong in their cell files, one cell file after another.
+
+    Cell files are read in sorted order, by the rules of ``load_cell_records``,
+    and the records of one file share one ``CellKey``.  The generator lets go
+    of each record as it hands it out, so it holds at most one cell's records;
+    a caller that keeps none holds no more.  Without a ``spec.json`` no index
+    is out of range.
+    """
+    run_dir = Path(run_dir)
+    if not is_run_dir(run_dir):
+        return
+    spec = load_spec(run_dir)
+    instances_per_cell = spec.instances_per_cell if spec else sys.maxsize
+    for path in sorted(records_dir(run_dir).glob("*.jsonl")):
+        records = load_cell_records(path, instances_per_cell)
+        for index in list(records):
+            yield records.pop(index)
+
+
+@contextmanager
+def record_appender(run_dir: Path) -> Iterator[Callable[[CallRecord, str], None]]:
+    """A function that appends a record, given its encoded shared part, to its cell file.
+
+    Each cell file is opened on its first record, and a torn final line
+    that a crash left in it is ended first, so appended records stay
+    parseable.  Each record is flushed as it is written.  Every handle is
+    closed on leaving the block.
+    """
+    # by cell label: the cell file's append handle and the encoded cell fields
+    files: dict[str, tuple] = {}
+
+    def save(record: CallRecord, shared_json: str) -> None:
+        entry = files.get(record.cell.label)
+        if entry is None:
+            path = cell_file(run_dir, record.cell)
+            needs_newline = path.exists() and path.stat().st_size > 0 and not path.read_bytes().endswith(b"\n")
+            handle = open(path, "a", encoding="utf-8")
+            if needs_newline:
+                handle.write("\n")
+            entry = files[record.cell.label] = (handle, _ENCODER.encode(record.cell.to_json()))
+        handle, cell_json = entry
+        handle.write(_record_line(cell_json, record, shared_json))
+        # a killed run keeps every record saved so far
+        handle.flush()
+
+    try:
+        yield save
+    finally:
+        for handle, _ in files.values():
+            handle.close()
+
+
+def write_table(run_dir: Path, table) -> None:
+    """Save an accuracy table as the run's ``table.json`` and ``table.txt``."""
+    (run_dir / "table.json").write_text(
+        json.dumps(table.to_json(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
+    (run_dir / "table.txt").write_text(table.format_text(), encoding="utf-8")

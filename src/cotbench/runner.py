@@ -1,24 +1,15 @@
-"""Experiment orchestration: run grids of calls, persist them, aggregate accuracy.
-
-A run is a directory: ``spec.json`` freezes the experiment definition,
-``records/<cell>.jsonl`` collects one call record per line, and
-``table.json`` / ``table.txt`` hold the aggregates.  Records are keyed by
-(cell, index) so interrupted runs resume without duplicating work.  A
-report reads the records one cell file at a time and counts each cell as
-it goes, so it holds one cell's records whatever the size of the run.
+"""Experiment orchestration: run grids of calls, then count and compare their accuracy.
 
 Every instance derives from (master seed, task, length, index) alone, so
 the prompt kinds of one (task, length) share each instance and its oracle:
 their accuracies are paired, the instance is generated once for all of
 them, and the same spec produces the same instances regardless of worker
-count.  ``spec.json`` records the version of that instance stream
-(``GENERATOR``), and a run directory written with another stream is not
-resumed.
+count.  The files a run leaves behind are ``rundir``'s; this module calls
+and counts.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 import sys
@@ -26,85 +17,48 @@ import time
 import warnings
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cached_property, lru_cache
 from itertools import groupby, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator
 
-from cotbench.backends import (
-    AuthError,
-    BackendError,
-    CallContext,
-    CompletionConfig,
-    ModelBackend,
-)
-from cotbench.extraction import (
-    ExtractedAnswer,
-    ExtractionFailure,
-    FailureReason,
-    Verdict,
-    extract_result,
-    score,
-)
+from cotbench.backends import AuthError, BackendError, CallContext, ModelBackend
+from cotbench.extraction import ExtractionFailure, FailureReason, Verdict, extract_result, score
 from cotbench.prompts import SupervisionKind, get_template, render_prompt
+from cotbench.rundir import (
+    CallRecord,
+    CellKey,
+    ExperimentSpec,
+    RunnerError,
+    SpecError,
+    cell_file,
+    encode_shared,
+    init_run_dir,
+    load_cell_records,
+    load_records,
+    load_spec,
+    record_appender,
+    write_table,
+)
 from cotbench.tasks import (
     ANSWER_KINDS,
-    InputRendering,
-    MalformedInstance,
     OracleAnswer,
     TaskId,
     TaskInstance,
     generate_instance,
-    make_instance,
     oracle_solve,
 )
 from cotbench.textgrid import format_grid
 
-# Per-task instance lengths used in the large-scale accuracy grid.  The
-# palindrome task's published lengths count the middle marker, so in
-# payload terms (marker excluded) they come out one lower and even.
-DEFAULT_LENGTHS: dict[TaskId, tuple[int, ...]] = {
-    TaskId.PARITY_CHECK: (20, 25, 30, 35),
-    TaskId.EVEN_PAIRS: (10, 15, 20, 25),
-    TaskId.CYCLE_NAVIGATION: (30, 40, 50, 60),
-    TaskId.REVERSE_LIST: (10, 15, 20, 25),
-    TaskId.EQUAL_NUMBER: (20, 30, 40, 50),
-    TaskId.PALINDROME_VERIFICATION: (24, 34, 44, 54),
-    TaskId.ODDS_FIRST: (8, 10, 12, 15),
-    TaskId.SORTING_LIST: (8, 10, 12, 15),
-    TaskId.DUPLICATE_LIST: (40, 50, 60, 70),
-}
-
 Z_95 = statistics.NormalDist().inv_cdf(0.975)
-
-# Version of the instance stream, frozen into each run's spec.json.  Bump it
-# whenever the instances a spec draws change (a generator or the seed path).
-# Versions 1 and 2 predate the field: runs written then hold no "generator".
-GENERATOR = 3
 
 # On the pool path at most this many calls per worker are submitted and not
 # yet saved: enough to keep every worker busy while the calling thread saves
 # records and builds the next instances, few enough that an abort has little
 # queued work to cancel.
 WINDOW_PER_WORKER = 2
-
-# One encoder for every record line: json.dumps given an option builds a new
-# encoder on each call.  Its output is json.dumps(..., ensure_ascii=False).
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
-
-_TASK_ORDER = {task: i for i, task in enumerate(TaskId)}
-_KIND_ORDER = {kind: i for i, kind in enumerate(SupervisionKind)}
-
-
-class RunnerError(Exception):
-    pass
-
-
-class SpecError(RunnerError):
-    """Experiment spec is invalid or conflicts with an existing run."""
 
 
 class StructureMismatch(RunnerError):
@@ -115,263 +69,10 @@ class EmptyCellWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
-class CellKey:
-    """One (task, length, kind, rendering) combination of the grid."""
-
-    task: TaskId
-    length: int
-    kind: SupervisionKind
-    rendering: InputRendering
-
-    @cached_property
-    def label(self) -> str:
-        return f"{self.task.value}.{self.length}.{self.kind.value}.{self.rendering.value}"
-
-    @property
-    def sort_key(self):
-        return (_TASK_ORDER[self.task], self.length, _KIND_ORDER[self.kind], self.rendering.value)
-
-    def to_json(self) -> dict:
-        return {
-            "task": self.task.value,
-            "length": self.length,
-            "kind": self.kind.value,
-            "rendering": self.rendering.value,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "CellKey":
-        """The shared key of the cell a record names; equal fields give the same object."""
-        return _cell_key(data["task"], data["length"], data["kind"], data["rendering"])
-
-
-# The records of one cell file name one cell, so the most recent keys are
-# all a decode needs; the bound caps what files naming many cells can add.
-@lru_cache(maxsize=1024)
-def _cell_key(task, length, kind, rendering) -> CellKey:
-    return CellKey(
-        TaskId.parse(task),
-        int(length),
-        SupervisionKind.parse(kind),
-        InputRendering.parse(rendering),
-    )
-
-
-@dataclass
-class ExperimentSpec:
-    """Declarative description of a full experiment grid."""
-
-    tasks: list[TaskId]
-    lengths: dict[TaskId, list[int]]
-    kinds: list[SupervisionKind]
-    rendering: InputRendering
-    instances_per_cell: int
-    master_seed: int
-    backend: dict = field(default_factory=lambda: {"kind": "echo"})
-    completion: CompletionConfig = field(default_factory=CompletionConfig)
-    workers: int = 4
-
-    def validate(self) -> None:
-        if not self.tasks:
-            raise SpecError("spec lists no tasks")
-        if self.instances_per_cell < 1:
-            raise SpecError("instances_per_cell must be positive")
-        if self.workers < 1:
-            raise SpecError("workers must be positive")
-        if self.completion.max_attempts < 1:
-            raise SpecError("completion.max_attempts must be positive")
-        if not self.completion.backoff_s or min(self.completion.backoff_s) < 0:
-            raise SpecError("completion.backoff_s must list at least one delay, none negative")
-        if len(set(self.tasks)) != len(self.tasks):
-            raise SpecError("duplicate tasks in spec")
-        for task in self.tasks:
-            lengths = self.lengths.get(task)
-            if not lengths:
-                raise SpecError(f"no lengths for task {task.value}")
-            if len(set(lengths)) != len(lengths):
-                raise SpecError(f"duplicate lengths for task {task.value}")
-            for length in lengths:
-                if length < 2:
-                    raise SpecError(f"{task.value} length {length} below minimum 2")
-                if task in (TaskId.PALINDROME_VERIFICATION, TaskId.EQUAL_NUMBER) and length % 2:
-                    raise SpecError(f"{task.value} requires even lengths, got {length}")
-
-    def cells(self) -> list[CellKey]:
-        return [
-            CellKey(task, length, kind, self.rendering)
-            for task in self.tasks
-            for length in self.lengths[task]
-            for kind in self.kinds
-        ]
-
-    def to_json(self) -> dict:
-        return {
-            "tasks": [t.value for t in self.tasks],
-            "lengths": {t.value: list(self.lengths[t]) for t in self.tasks},
-            "kinds": [k.value for k in self.kinds],
-            "rendering": self.rendering.value,
-            "instances_per_cell": self.instances_per_cell,
-            "master_seed": self.master_seed,
-            "backend": self.backend,
-            "completion": self.completion.to_json(),
-            "workers": self.workers,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "ExperimentSpec":
-        tasks = [TaskId.parse(t) for t in data["tasks"]]
-        raw_lengths = data.get("lengths") or {}
-        lengths = {}
-        for task in tasks:
-            if task.value in raw_lengths:
-                lengths[task] = [int(x) for x in raw_lengths[task.value]]
-            else:
-                lengths[task] = list(DEFAULT_LENGTHS[task])
-        return ExperimentSpec(
-            tasks=tasks,
-            lengths=lengths,
-            kinds=[SupervisionKind.parse(k) for k in data.get("kinds", ["base", "cot", "scot", "scot-sub"])],
-            rendering=InputRendering.parse(data.get("rendering", "list")),
-            instances_per_cell=int(data.get("instances_per_cell", 50)),
-            master_seed=int(data.get("master_seed", 0)),
-            backend=data.get("backend", {"kind": "echo"}),
-            completion=CompletionConfig.from_json(data.get("completion", {})),
-            workers=int(data.get("workers", 4)),
-        )
-
-
 def instance_seed_path(master_seed: int, task: TaskId, length: int, index: int) -> str:
     """The seed path of one instance; it leaves out the kind and the rendering,
     so every cell of a (task, length) draws the same instance at an index."""
     return f"{master_seed}/{task.value}.{length}/{index}"
-
-
-def _shared_json(instance: TaskInstance, oracle: OracleAnswer) -> dict:
-    """The part of a record that every kind's record of one instance holds alike."""
-    return {
-        "instance": {
-            "elements": list(instance.elements),
-            "params": instance.params,
-            "seed_path": instance.seed_path,
-        },
-        "oracle": oracle.to_json(),
-    }
-
-
-@dataclass
-class CallRecord:
-    """Everything needed to audit or re-score one evaluation event.
-
-    A record's JSON object is three parts in a row: the call head (the
-    cell's fields, then the index), the part shared by the kinds of one
-    instance (``_shared_json``) and the call tail (``tail_json``).  A run
-    encodes the three apart (``_record_line``), each only as often as it
-    changes.
-    """
-
-    cell: CellKey
-    index: int
-    instance: TaskInstance
-    oracle: OracleAnswer
-    prompt_sha256: str
-    transcript: str
-    extraction: ExtractedAnswer | ExtractionFailure
-    verdict: Verdict
-    error: str | None
-    error_detail: str
-    latency_s: float
-    attempts: int
-    timestamp: str
-
-    def to_json(self) -> dict:
-        return {
-            **self.cell.to_json(),
-            "index": self.index,
-            **_shared_json(self.instance, self.oracle),
-            **self.tail_json(),
-        }
-
-    def tail_json(self) -> dict:
-        """What the call itself produced, from the prompt's hash on."""
-        if isinstance(self.extraction, ExtractedAnswer):
-            extraction = {
-                "ok": True,
-                "value": self.extraction.value,
-                "raw_span": self.extraction.raw_span,
-                "position": self.extraction.position,
-            }
-        else:
-            extraction = {
-                "ok": False,
-                "reason": self.extraction.reason.value,
-                "detail": self.extraction.detail,
-            }
-        return {
-            "prompt_sha256": self.prompt_sha256,
-            "transcript": self.transcript,
-            "extraction": extraction,
-            "verdict": self.verdict.value,
-            "error": self.error,
-            "error_detail": self.error_detail,
-            "latency_s": self.latency_s,
-            "attempts": self.attempts,
-            "timestamp": self.timestamp,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "CallRecord":
-        """Decode one record; ValueError, KeyError or MalformedInstance if ``data`` is not one."""
-        if not isinstance(data, dict):
-            raise ValueError(f"a record is a JSON object, not {type(data).__name__}")
-        try:
-            cell = CellKey.from_json(data)
-            kind = ANSWER_KINDS[cell.task]
-            instance = make_instance(
-                cell.task,
-                data["instance"]["elements"],
-                data["instance"].get("params") or {},
-                data["instance"].get("seed_path", ""),
-            )
-            oracle = OracleAnswer.from_json(kind, data["oracle"])
-            raw = data["extraction"]
-            extraction: ExtractedAnswer | ExtractionFailure
-            if not isinstance(raw, dict):
-                raise ValueError(f"extraction is a JSON object, not {type(raw).__name__}")
-            if raw.get("ok"):
-                extraction = ExtractedAnswer(raw["raw_span"], raw["value"], kind, raw["position"])
-            else:
-                extraction = ExtractionFailure(FailureReason(raw["reason"]), raw.get("detail", ""))
-            return CallRecord(
-                cell=cell,
-                index=int(data["index"]),
-                instance=instance,
-                oracle=oracle,
-                prompt_sha256=data["prompt_sha256"],
-                transcript=data["transcript"],
-                extraction=extraction,
-                verdict=Verdict(data["verdict"]),
-                error=data.get("error"),
-                error_detail=data.get("error_detail", ""),
-                latency_s=data.get("latency_s", 0.0),
-                attempts=data.get("attempts", 1),
-                timestamp=data.get("timestamp", ""),
-            )
-        except TypeError as exc:
-            # a field of the wrong JSON type, such as a list where text belongs
-            raise ValueError(f"malformed record: {exc}") from exc
-
-
-def _record_line(cell_json: str, record: CallRecord, shared_json: str) -> str:
-    """``json.dumps(record.to_json(), ensure_ascii=False)`` and a newline, from parts.
-
-    ``cell_json`` and ``shared_json`` are the encoded cell fields and shared
-    part, which the caller encodes once per cell and once per instance.
-    """
-    # an index is an int, whose JSON is its repr; json.dumps separates
-    # members with ", ", which joins the encoded objects' members too
-    tail = _ENCODER.encode(record.tail_json())
-    return f'{cell_json[:-1]}, "index": {record.index!r}, {shared_json[1:-1]}, {tail[1:]}\n'
 
 
 # The pending calls of one instance: (task, length, index, the cells still to call).
@@ -392,7 +93,7 @@ def _paired_calls(master_seed: int, pending: list[PendingGroup]) -> Iterator[tup
             task, length, seed_path=instance_seed_path(master_seed, task, length, index)
         )
         oracle = oracle_solve(task, instance)
-        shared_json = _ENCODER.encode(_shared_json(instance, oracle))
+        shared_json = encode_shared(instance, oracle)
         for cell in cells:
             yield (cell, index, instance, oracle), shared_json
 
@@ -446,79 +147,6 @@ def _execute_call(
     )
 
 
-def _records_dir(run_dir: Path) -> Path:
-    return run_dir / "records"
-
-
-def _cell_file(run_dir: Path, cell: CellKey) -> Path:
-    return _records_dir(run_dir) / f"{cell.label}.jsonl"
-
-
-def _load_cell_records(path: Path, instances_per_cell: int) -> dict[int, CallRecord]:
-    """Parse one cell file, keeping only the records that belong in it.
-
-    A torn line, JSON that is not a record and a malformed instance are all
-    skipped, and so is a record of another cell or with an index outside
-    ``0 .. instances_per_cell - 1``.  Of several records for one index the
-    last one wins, so a call re-issued on resume replaces the error it was
-    re-issued for.
-    """
-    records: dict[int, CallRecord] = {}
-    if not path.exists():
-        return records
-    label = path.stem
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = CallRecord.from_json(json.loads(line))
-            except (ValueError, KeyError, MalformedInstance):
-                continue
-            if record.cell.label == label and 0 <= record.index < instances_per_cell:
-                records[record.index] = record
-    return records
-
-
-def _read_spec_file(spec_path: Path, parse: Callable[[object], object] = ExperimentSpec.from_json):
-    """``parse`` applied to the JSON in ``spec_path``; SpecError if the file holds no spec."""
-    try:
-        return parse(json.loads(spec_path.read_text(encoding="utf-8")))
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        # invalid JSON, a missing field, or a field of the wrong JSON type
-        raise SpecError(f"{spec_path} holds no experiment spec: {type(exc).__name__}: {exc}") from exc
-
-
-def _load_spec(run_dir: Path) -> ExperimentSpec | None:
-    """The run's spec, or None without a ``spec.json``; SpecError if the file holds no spec."""
-    spec_path = run_dir / "spec.json"
-    if not spec_path.exists():
-        return None
-    return _read_spec_file(spec_path)
-
-
-def load_records(run_dir: str | Path) -> Iterator[CallRecord]:
-    """The records of a run that belong in their cell files, one cell file after another.
-
-    Cell files are read in sorted order, by the rules of ``_load_cell_records``,
-    and the records of one file share one ``CellKey``.  The generator lets go
-    of each record as it hands it out, so it holds at most one cell's records;
-    a caller that keeps none holds no more.  Without a ``spec.json`` no index
-    is out of range.
-    """
-    run_dir = Path(run_dir)
-    records_dir = _records_dir(run_dir)
-    if not records_dir.is_dir():
-        return
-    spec = _load_spec(run_dir)
-    instances_per_cell = spec.instances_per_cell if spec else sys.maxsize
-    for path in sorted(records_dir.glob("*.jsonl")):
-        records = _load_cell_records(path, instances_per_cell)
-        for index in list(records):
-            yield records.pop(index)
-
-
 def run_experiment(
     spec: ExperimentSpec,
     backend: ModelBackend,
@@ -547,26 +175,7 @@ def run_experiment(
         raise SpecError(f"workers must be positive, got {workers}")
     workers = spec.workers if workers is None else workers
     run_dir = Path(out_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _records_dir(run_dir).mkdir(exist_ok=True)
-
-    spec_path = run_dir / "spec.json"
-    frozen = {**spec.to_json(), "generator": GENERATOR}
-    if spec_path.exists():
-        # compared as stored, generator field included
-        stored = _read_spec_file(spec_path, parse=lambda data: data)
-        if stored != frozen:
-            if isinstance(stored, dict) and stored.get("generator") != GENERATOR:
-                raise SpecError(
-                    f"{spec_path} was written with instance stream "
-                    f"{stored.get('generator', '1 or 2')}, and this version draws stream "
-                    f"{GENERATOR}: the instances changed, so refusing to resume across "
-                    "an instance-stream change; start a new run directory"
-                )
-            raise SpecError(f"{spec_path} holds a different spec; refusing to mix runs")
-    else:
-        text = json.dumps(frozen, indent=2, ensure_ascii=False) + "\n"
-        spec_path.write_text(text, encoding="utf-8")
+    init_run_dir(run_dir, spec)
 
     cells = spec.cells()
     pending: list[PendingGroup] = []
@@ -577,7 +186,7 @@ def run_experiment(
         # error is issued again
         done = []
         for cell in group:
-            records = _load_cell_records(_cell_file(run_dir, cell), spec.instances_per_cell)
+            records = load_cell_records(cell_file(run_dir, cell), spec.instances_per_cell)
             done.append({index for index, record in records.items() if record.error is None})
         for index in range(spec.instances_per_cell):
             todo = [cell for cell, indices in zip(group, done) if index not in indices]
@@ -592,27 +201,8 @@ def run_experiment(
     if not pending:
         return run_dir
 
-    # by cell label: the cell file's append handle and the encoded cell fields
-    files: dict[str, tuple] = {}
-
-    def save(record: CallRecord, shared_json: str) -> None:
-        entry = files.get(record.cell.label)
-        if entry is None:
-            path = _cell_file(run_dir, record.cell)
-            # a crash can leave a torn final line with no newline;
-            # terminate it so appended records stay parseable
-            needs_newline = path.exists() and path.stat().st_size > 0 and not path.read_bytes().endswith(b"\n")
-            handle = open(path, "a", encoding="utf-8")
-            if needs_newline:
-                handle.write("\n")
-            entry = files[record.cell.label] = (handle, _ENCODER.encode(record.cell.to_json()))
-        handle, cell_json = entry
-        handle.write(_record_line(cell_json, record, shared_json))
-        # a killed run keeps every record saved so far
-        handle.flush()
-
     calls = _paired_calls(spec.master_seed, pending)
-    try:
+    with record_appender(run_dir) as save:
         if workers == 1:
             # calls one after another need no pool: handing each call and its
             # record between two threads only adds work whose cost depends on
@@ -648,9 +238,6 @@ def run_experiment(
                         if not future.cancelled() and future.exception() is None:
                             save(future.result(), shared_json)
                     raise
-    finally:
-        for handle, _ in files.values():
-            handle.close()
     return run_dir
 
 
@@ -713,16 +300,16 @@ class AccuracyTable:
         return {"cells": [c.to_json() for c in self.cells]}
 
     def format_text(self) -> str:
-        kinds = sorted({c.cell.kind for c in self.cells}, key=_KIND_ORDER.get)
-        renderings = sorted({c.cell.rendering for c in self.cells}, key=lambda r: r.value)
-        multi_rendering = len(renderings) > 1
+        present = {c.cell.kind for c in self.cells}
+        kinds = [kind for kind in SupervisionKind if kind in present]
+        multi_rendering = len({c.cell.rendering for c in self.cells}) > 1
         headers = ["Task", "Len"] + (["Input"] if multi_rendering else []) + ["n"]
         headers += [k.display for k in kinds]
 
         grouped: dict[tuple, dict[SupervisionKind, CellStats]] = {}
         for stats in self.cells:
-            row_key = (_TASK_ORDER[stats.cell.task], stats.cell.length, stats.cell.rendering.value)
-            grouped.setdefault(row_key, {})[stats.cell.kind] = stats
+            task_rank, length, _, rendering = stats.cell.sort_key
+            grouped.setdefault((task_rank, length, rendering), {})[stats.cell.kind] = stats
 
         rows = []
         for row_key in sorted(grouped):
@@ -786,7 +373,7 @@ def aggregate(run_dir: str | Path, write: bool = True) -> AccuracyTable:
         )
     stats.sort(key=lambda s: s.cell.sort_key)
 
-    spec = _load_spec(run_dir)
+    spec = load_spec(run_dir)
     if spec:
         recorded = {s.cell.label for s in stats}
         for cell in spec.cells():
@@ -795,10 +382,7 @@ def aggregate(run_dir: str | Path, write: bool = True) -> AccuracyTable:
 
     table = AccuracyTable(stats)
     if write:
-        (run_dir / "table.json").write_text(
-            json.dumps(table.to_json(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
-        (run_dir / "table.txt").write_text(table.format_text(), encoding="utf-8")
+        write_table(run_dir, table)
     return table
 
 
@@ -896,7 +480,7 @@ def compare_runs(run_a: str | Path, run_b: str | Path, alpha: float = 0.05) -> C
 
     z_crit = statistics.NormalDist().inv_cdf(1 - alpha / 2)
     rows = []
-    for key in sorted(cells_a, key=lambda k: (_TASK_ORDER[k[0]], k[1], _KIND_ORDER[k[2]])):
+    for key in sorted(cells_a, key=lambda k: cells_a[k].cell.sort_key):
         a, b = cells_a[key], cells_b[key]
         z = two_proportion_z(a.n_correct, a.n, b.n_correct, b.n)
         rows.append(

@@ -66,7 +66,7 @@ def parse_enum(cls: type[Enum], text: str, noun: str) -> Enum:
 
 
 class TaskId(Enum):
-    """The nine tasks, keyed by their short CLI codes."""
+    """The nine tasks, keyed by their short CLI codes, three per level in level order."""
 
     PARITY_CHECK = "pc"
     EVEN_PAIRS = "ep"
@@ -87,27 +87,20 @@ class TaskId(Enum):
         return self.value.upper()
 
 
-class TaskLevel(Enum):
-    REGULAR = "R"
-    DETERMINISTIC_CONTEXT_FREE = "DCF"
-    CONTEXT_SENSITIVE = "CS"
-
-
-_LEVELS = {
-    TaskId.PARITY_CHECK: TaskLevel.REGULAR,
-    TaskId.EVEN_PAIRS: TaskLevel.REGULAR,
-    TaskId.CYCLE_NAVIGATION: TaskLevel.REGULAR,
-    TaskId.REVERSE_LIST: TaskLevel.DETERMINISTIC_CONTEXT_FREE,
-    TaskId.EQUAL_NUMBER: TaskLevel.DETERMINISTIC_CONTEXT_FREE,
-    TaskId.PALINDROME_VERIFICATION: TaskLevel.DETERMINISTIC_CONTEXT_FREE,
-    TaskId.ODDS_FIRST: TaskLevel.CONTEXT_SENSITIVE,
-    TaskId.SORTING_LIST: TaskLevel.CONTEXT_SENSITIVE,
-    TaskId.DUPLICATE_LIST: TaskLevel.CONTEXT_SENSITIVE,
+# Per-task instance lengths used in the large-scale accuracy grid.  The
+# palindrome task's published lengths count the middle marker, so in
+# payload terms (marker excluded) they come out one lower and even.
+DEFAULT_LENGTHS: dict[TaskId, tuple[int, ...]] = {
+    TaskId.PARITY_CHECK: (20, 25, 30, 35),
+    TaskId.EVEN_PAIRS: (10, 15, 20, 25),
+    TaskId.CYCLE_NAVIGATION: (30, 40, 50, 60),
+    TaskId.REVERSE_LIST: (10, 15, 20, 25),
+    TaskId.EQUAL_NUMBER: (20, 30, 40, 50),
+    TaskId.PALINDROME_VERIFICATION: (24, 34, 44, 54),
+    TaskId.ODDS_FIRST: (8, 10, 12, 15),
+    TaskId.SORTING_LIST: (8, 10, 12, 15),
+    TaskId.DUPLICATE_LIST: (40, 50, 60, 70),
 }
-
-
-def task_level(task: TaskId) -> TaskLevel:
-    return _LEVELS[task]
 
 
 class AnswerKind(Enum):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cotbench.runner import CallRecord, load_records
+from cotbench.rundir import CallRecord, load_records
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 

@@ -20,13 +20,13 @@ from cotbench.complexity import PromptSpaceParams, answer_space_census, template
 from cotbench.extraction import ExtractedAnswer, Verdict, extract_result, score
 from cotbench.prompts import SupervisionKind, get_template, render_prompt
 from cotbench.runner import (
-    DEFAULT_LENGTHS,
     ExperimentSpec,
     aggregate,
     run_experiment,
 )
 from cotbench.tasks import (
     ALPHABETS,
+    DEFAULT_LENGTHS,
     AnswerKind,
     InputRendering,
     OracleAnswer,

@@ -269,6 +269,40 @@ class TestRunReportCompare:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"tasks": ["pc"], "completion": {"max_attempts": "3"}}',
+            '{"tasks": ["pc"], "completion": {"backoff_s": 5}}',
+            '{"tasks": ["pc"], "lengths": {"pc": 10}}',
+            '{"tasks": ["pc"], "backend": "echo"}',
+            '["pc"]',
+        ],
+        ids=["text-attempts", "number-backoff", "number-lengths", "text-backend", "list"],
+    )
+    def test_spec_field_of_wrong_type_is_usage_error(self, tmp_path, capsys, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        code, _, err = run_cli(capsys, "run", "--spec", str(spec), "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert f"bad spec file: {spec} holds no experiment spec: TypeError" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("which", ["a", "b", "both"])
+    def test_compare_needs_two_run_directories(self, tmp_path, capsys, which):
+        spec = self.write_spec(tmp_path / "spec.json", tasks=["pc"], lengths={"pc": [20]})
+        run_dir = tmp_path / "run"
+        assert run_cli(capsys, "run", "--spec", str(spec), "--out", str(run_dir))[0] == 0
+        missing = tmp_path / "missing"
+        run_a = run_dir if which == "b" else missing
+        run_b = run_dir if which == "a" else missing
+        code, out, err = run_cli(capsys, "compare", "--run-a", str(run_a), "--run-b", str(run_b))
+        assert code == 2
+        assert out == ""
+        assert f"not a run directory: {missing}" in err
+
+
 class TestComplexityCommand:
     def test_template_count(self, capsys):
         code, out, _ = run_cli(capsys, "complexity", "--n", "64", "--s", "8")

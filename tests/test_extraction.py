@@ -11,7 +11,6 @@ from cotbench.extraction import (
     ExtractionFailure,
     FailureReason,
     Verdict,
-    detect_conflict,
     extract_result,
     format_result,
     score,
@@ -88,25 +87,6 @@ class TestExtractResult:
     def test_raw_span_is_whole_expression(self):
         got = extract_result("x {'Result': 'ab'} y", AnswerKind.TEXT)
         assert got.raw_span == "{'Result': 'ab'}"
-
-
-class TestConflictAudit:
-    def test_no_conflict_when_concluded(self):
-        text = "{'Result': 3} ... {'Result': 7}"
-        assert detect_conflict(text, AnswerKind.INT) is None
-
-    def test_conflict_when_dangling(self):
-        text = "{'Result': 3} ... {'Result': 7} and that is my reasoning."
-        got = detect_conflict(text, AnswerKind.INT)
-        assert got is not None and got.reason is FailureReason.AMBIGUOUS_CONFLICT
-
-    def test_agreeing_restatements_fine(self):
-        text = "{'Result': 7} twice {'Result': 7} trailing prose"
-        assert detect_conflict(text, AnswerKind.INT) is None
-
-    def test_conflict_scores_unparseable(self):
-        failure = ExtractionFailure(FailureReason.AMBIGUOUS_CONFLICT)
-        assert score(failure, OracleAnswer.of_int(7)) is Verdict.UNPARSEABLE
 
 
 class TestScore:

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from scipy import stats as scipy_stats
 
-from cotbench import runner
+from cotbench import rundir, runner
 from cotbench.backends import (
     AuthError,
     BackendError,
@@ -31,7 +31,6 @@ from cotbench.runner import (
     AccuracyTable,
     CallRecord,
     CellKey,
-    DEFAULT_LENGTHS,
     EmptyCellWarning,
     ExperimentSpec,
     SpecError,
@@ -43,7 +42,7 @@ from cotbench.runner import (
     two_proportion_z,
     wilson_interval,
 )
-from cotbench.tasks import ANSWER_KINDS, AnswerKind, InputRendering, TaskId
+from cotbench.tasks import ANSWER_KINDS, DEFAULT_LENGTHS, AnswerKind, InputRendering, TaskId
 
 from conftest import keyed_records
 
@@ -72,6 +71,16 @@ class TestSpec:
     def test_default_lengths_fill_in(self):
         spec = ExperimentSpec.from_json({"tasks": ["ep"], "master_seed": 1})
         assert spec.lengths[TaskId.EVEN_PAIRS] == list(DEFAULT_LENGTHS[TaskId.EVEN_PAIRS])
+
+    def test_fields_left_out_take_their_defaults(self):
+        spec = ExperimentSpec.from_json({"tasks": ["pc"]})
+        assert json.dumps(spec.to_json()) == (
+            '{"tasks": ["pc"], "lengths": {"pc": [20, 25, 30, 35]}, '
+            '"kinds": ["base", "cot", "scot", "scot-sub"], "rendering": "list", '
+            '"instances_per_cell": 50, "master_seed": 0, "backend": {"kind": "echo"}, '
+            '"completion": {"model": "gpt-4o-mini", "temperature": 0.0, "max_tokens": 4096, '
+            '"timeout_s": 120.0, "max_attempts": 3, "backoff_s": [1.0, 2.0, 4.0]}, "workers": 4}'
+        )
 
     def test_validation_rejects_odd_palindrome_length(self):
         spec = small_spec(
@@ -270,7 +279,7 @@ class TestStreaming:
         )
         run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
         refs, alive_at_read = [], []
-        load = runner._load_cell_records
+        load = rundir.load_cell_records
 
         def tracking_load(path, instances_per_cell):
             gc.collect()
@@ -279,7 +288,7 @@ class TestStreaming:
             refs.extend(weakref.ref(record) for record in records.values())
             return records
 
-        monkeypatch.setattr(runner, "_load_cell_records", tracking_load)
+        monkeypatch.setattr(rundir, "load_cell_records", tracking_load)
         return run_dir, refs, alive_at_read
 
     def test_load_records_reads_nothing_until_iterated(self, tracked_run):
@@ -441,8 +450,8 @@ class TestRunExperiment:
         spec = ExperimentSpec.from_json({**small_spec().to_json(), "generator": 1})
         run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
         frozen = json.loads((run_dir / "spec.json").read_text())
-        assert frozen == {**small_spec().to_json(), "generator": runner.GENERATOR}
-        assert runner.GENERATOR == 3
+        assert frozen == {**small_spec().to_json(), "generator": rundir.GENERATOR}
+        assert rundir.GENERATOR == 3
 
     @pytest.mark.parametrize("stored", [None, 2], ids=["before-the-field", "older-version"])
     def test_resume_refuses_another_instance_stream(self, tmp_path, stored):

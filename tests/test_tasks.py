@@ -24,7 +24,6 @@ from cotbench.tasks import (
     MalformedInstance,
     OracleAnswer,
     TaskId,
-    TaskLevel,
     UnsupportedLength,
     brute_force_oracle,
     dyck_rotation,
@@ -36,7 +35,6 @@ from cotbench.tasks import (
     parse_enum,
     render_input,
     rng_for,
-    task_level,
 )
 
 # The failing-transcript input from the worked examples; its answer is 9.
@@ -92,17 +90,6 @@ class TestOracleKnownValues:
 
 
 class TestLevels:
-    def test_level_assignment(self):
-        assert task_level(TaskId.PARITY_CHECK) is TaskLevel.REGULAR
-        assert task_level(TaskId.EVEN_PAIRS) is TaskLevel.REGULAR
-        assert task_level(TaskId.CYCLE_NAVIGATION) is TaskLevel.REGULAR
-        assert task_level(TaskId.REVERSE_LIST) is TaskLevel.DETERMINISTIC_CONTEXT_FREE
-        assert task_level(TaskId.EQUAL_NUMBER) is TaskLevel.DETERMINISTIC_CONTEXT_FREE
-        assert task_level(TaskId.PALINDROME_VERIFICATION) is TaskLevel.DETERMINISTIC_CONTEXT_FREE
-        assert task_level(TaskId.ODDS_FIRST) is TaskLevel.CONTEXT_SENSITIVE
-        assert task_level(TaskId.SORTING_LIST) is TaskLevel.CONTEXT_SENSITIVE
-        assert task_level(TaskId.DUPLICATE_LIST) is TaskLevel.CONTEXT_SENSITIVE
-
     def test_nine_tasks(self):
         assert len(TaskId) == 9
 
