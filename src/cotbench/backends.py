@@ -10,25 +10,30 @@ speaks the common chat-completions JSON shape against whatever base URL it
 is pointed at.  The decoding settings of a call, ``CompletionConfig``, are
 part of a run's spec, so they live in ``rundir`` with it.
 
-Only the live backend needs ``requests``, and it imports it when it is built,
+The live backend needs only the standard library: it speaks HTTP/1.1 over
+``http.client`` with kept-alive connections, and imports it when it is built,
 after its API-key check.  Importing this package, and running or replaying
-on the offline backends, never loads the HTTP stack.
+on the offline backends, never loads ``http.client`` or ``ssl``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import random
+import select
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from cotbench.extraction import format_result
-from cotbench.rundir import CompletionConfig, load_records, load_spec
+from cotbench.rundir import CompletionConfig, is_run_dir, load_records, load_spec
 from cotbench.tasks import OracleAnswer, TaskInstance
 
 API_KEY_ENV = "COTBENCH_API_KEY"
@@ -176,6 +181,8 @@ class ReplayBackend(ModelBackend):
         spec = load_spec(Path(run_dir))
         if spec is None:
             raise ValueError(f"no spec.json in {run_dir}: replay needs a run directory")
+        if not is_run_dir(run_dir):
+            raise ValueError(f"no records directory in {run_dir}: replay needs a run directory")
         transcripts = {
             record.prompt_sha256: record.transcript
             for record in load_records(run_dir)
@@ -229,13 +236,27 @@ class _RateLimiter:
 
 
 class LiveBackend(ModelBackend):
-    """Chat-completions HTTP client with retries and a rate limit.
+    """Chat-completions HTTP client with retries, a rate limit and kept-alive connections.
 
     Sends a single user message per call and returns the assistant text.
     Retries transport failures, 429s, and 5xx responses per the config's
-    attempt budget; auth failures surface immediately.  ``requests`` is
-    imported by the constructor, once the API key is found, so a missing key
-    fails without loading it.
+    attempt budget; auth failures surface immediately.
+
+    The transport is the standard library's ``http.client``, imported by the
+    constructor once the API key is found, so a missing key fails without
+    loading it.  Worker threads share one stack of idle connections: an
+    attempt takes the most recently used one, or opens a new one, and puts
+    it back once the whole response is read unless the server said it would
+    close it.  An idle connection the server has already closed is dropped
+    before use, so an expired keep-alive costs no attempt.  Idle connections
+    are closed when the backend is collected, or at interpreter exit.
+
+    The environment's proxy settings (``http_proxy``, ``https_proxy``,
+    ``all_proxy``, ``no_proxy``) are read once, here: an http endpoint is
+    reached through the proxy with the absolute URL as target, an https one
+    through a CONNECT tunnel.  TLS uses ``http.client``'s default context,
+    ``ssl.create_default_context()``, which trusts the system's CA store
+    (``SSL_CERT_FILE`` overrides it).
     """
 
     name = "live"
@@ -251,20 +272,73 @@ class LiveBackend(ModelBackend):
         if not self.api_key:
             raise AuthError(f"no API key: set {API_KEY_ENV}")
         self._limiter = _RateLimiter(requests_per_minute)
-        import requests
+        import http.client
 
-        self._requests = requests
-        self._session = requests.Session()
+        self._http = http.client
+        url = f"{self.base_url}/chat/completions"
+        endpoint = _http_url(url, "base URL")
+        tls = endpoint.scheme == "https"
+        self._connection_class = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+        self._address = (endpoint.hostname, endpoint.port)
+        self._target = endpoint.path + (f"?{endpoint.query}" if endpoint.query else "")
+        self._headers = {"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"}
+        self._tunnel = None
+        proxy = _environment_proxy(endpoint)
+        if proxy is not None:
+            proxy_headers = _proxy_auth(proxy)
+            if tls:
+                self._tunnel = (self._address, proxy_headers)
+            else:
+                self._target = url
+                self._headers.update(proxy_headers)
+            self._address = (proxy.hostname, proxy.port or 80)
+        self._idle: list = []
+        weakref.finalize(self, _close_all, self._idle)
+
+    def _connect(self):
+        conn = self._connection_class(*self._address)
+        if self._tunnel:
+            (host, port), headers = self._tunnel
+            conn.set_tunnel(host, port, headers)
+        return conn
+
+    def _idle_connection(self):
+        """The most recently used idle connection the server has not closed, or None."""
+        while True:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                return None
+            if not _readable(conn.sock):
+                return conn
+            conn.close()
+
+    def _post(self, payload: bytes, timeout: float) -> tuple[int, bytes]:
+        """One request and its whole response: (status, body)."""
+        conn = self._idle_connection() or self._connect()
+        conn.timeout = timeout
+        try:
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout)
+            conn.request("POST", self._target, body=payload, headers=self._headers)
+            response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if not response.will_close:
+            self._idle.append(conn)
+        return response.status, data
 
     def complete(self, prompt, cfg, context=None):
-        body = {
-            "model": cfg.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": cfg.temperature,
-            "max_tokens": cfg.max_tokens,
-        }
-        headers = {"Authorization": f"Bearer {self.api_key}"}
-        url = f"{self.base_url}/chat/completions"
+        payload = json.dumps(
+            {
+                "model": cfg.model,
+                "messages": [{"role": "user", "content": prompt}],
+                "temperature": cfg.temperature,
+                "max_tokens": cfg.max_tokens,
+            }
+        ).encode()
 
         last_error: BackendError | None = None
         for attempt in range(1, cfg.max_attempts + 1):
@@ -273,25 +347,25 @@ class LiveBackend(ModelBackend):
                 time.sleep(delay)
             self._limiter.acquire()
             try:
-                response = self._session.post(url, json=body, headers=headers, timeout=cfg.timeout_s)
-            except self._requests.exceptions.Timeout:
+                status, data = self._post(payload, cfg.timeout_s)
+            except TimeoutError:
                 last_error = Timeout(f"request timed out after {cfg.timeout_s}s", attempt)
                 continue
-            except self._requests.exceptions.RequestException as exc:
-                last_error = ProtocolError(f"transport failure: {exc}", attempt)
+            except (OSError, self._http.HTTPException) as exc:
+                last_error = ProtocolError(f"transport failure: {type(exc).__name__}: {exc}", attempt)
                 continue
-            if response.status_code in (401, 403):
-                raise AuthError(f"endpoint rejected credentials ({response.status_code})", attempt)
-            if response.status_code == 429:
+            if status in (401, 403):
+                raise AuthError(f"endpoint rejected credentials ({status})", attempt)
+            if status == 429:
                 last_error = RateLimited("rate limited (429)", attempt)
                 continue
-            if response.status_code >= 500:
-                last_error = ProtocolError(f"server error ({response.status_code})", attempt)
+            if status >= 500:
+                last_error = ProtocolError(f"server error ({status})", attempt)
                 continue
-            if response.status_code != 200:
-                raise ProtocolError(f"unexpected status {response.status_code}", attempt)
+            if status != 200:
+                raise ProtocolError(f"unexpected status {status}", attempt)
             try:
-                transcript = response.json()["choices"][0]["message"]["content"]
+                transcript = json.loads(data)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise ProtocolError(f"malformed completion payload: {exc}", attempt) from exc
             if transcript is None:
@@ -299,6 +373,55 @@ class LiveBackend(ModelBackend):
             return Completion(transcript, attempt)
         assert last_error is not None
         raise last_error
+
+
+def _http_url(url: str, what: str) -> SplitResult:
+    """``url`` split, or ValueError unless it is an http(s) URL with a host.
+
+    Reading the result's ``port`` raises ValueError for a port that is not a number in range.
+    """
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"{what} must be an http:// or https:// URL with a host, got {url!r}")
+    return parts
+
+
+def _environment_proxy(endpoint: SplitResult) -> SplitResult | None:
+    """The http proxy the environment names for ``endpoint``, or None if it names none or bypasses it."""
+    import urllib.request
+
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(endpoint.scheme) or proxies.get("all")
+    if not proxy or urllib.request.proxy_bypass(endpoint.hostname):
+        return None
+    parts = _http_url(proxy if "://" in proxy else f"http://{proxy}", "proxy URL")
+    if parts.scheme != "http":
+        raise ValueError(f"proxy URL must be an http:// URL, got {proxy!r}")
+    return parts
+
+
+def _proxy_auth(proxy: SplitResult) -> dict[str, str]:
+    """The Proxy-Authorization header for credentials in a proxy URL, if it carries any."""
+    if not proxy.username:
+        return {}
+    import base64
+
+    credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}".encode()
+    return {"Proxy-Authorization": "Basic " + base64.b64encode(credentials).decode()}
+
+
+def _readable(sock) -> bool:
+    """Whether an idle socket has something to read: the server closed it, or spoke unasked."""
+    try:
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):
+        # a closed socket, or a descriptor past select's limit: do not reuse it
+        return True
+
+
+def _close_all(connections: list) -> None:
+    while connections:
+        connections.pop().close()
 
 
 def make_backend(spec: dict) -> ModelBackend:

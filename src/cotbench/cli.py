@@ -165,10 +165,6 @@ def cmd_run(args) -> int:
     except (ValueError, SpecError) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ImportError as exc:
-        # the live backend imports requests when it is built, and only then
-        print(f"backend error: the live backend needs the requests package ({exc})", file=sys.stderr)
-        return EXIT_USAGE
     if isinstance(backend, ReplayBackend):
         # every call would end in MissingRecording: refuse before the first
         mismatch = backend.decoding_mismatch(spec.completion)

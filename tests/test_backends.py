@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import base64
+import gc
 import hashlib
 import json
+import os
+import select
+import shutil
+import socket
 import threading
+import time
+import warnings
+import weakref
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -225,6 +234,170 @@ class TestLiveBackend:
             backend.complete("hello", CFG)
 
 
+class KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 echo endpoint that logs each request's target, headers and client port.
+
+    Subclasses set ``timeout`` to close connections idle that long, ``close_each``
+    to answer ``Connection: close``, and ``delay_s`` to answer late.
+    """
+
+    protocol_version = "HTTP/1.1"
+    seen: list = []
+    close_each = False
+    delay_s = 0.0
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        type(self).seen.append((self.path, dict(self.headers), self.client_address[1]))
+        time.sleep(self.delay_s)
+        data = json.dumps({"choices": [{"message": {"content": f"echo of: {body['messages'][0]['content']}"}}]})
+        try:
+            self.send_response(200)
+            if self.close_each:
+                self.send_header("Connection", "close")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data.encode())
+        except OSError:
+            pass  # a client that timed out has closed the connection
+
+    def do_CONNECT(self):
+        type(self).seen.append((self.path, dict(self.headers), self.client_address[1]))
+        self.send_error(502)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def serve():
+    """Starts KeepAliveHandler servers: ``serve(**attributes) -> (handler class, base URL)``."""
+    servers = []
+
+    def start(**attributes):
+        handler = type("Handler", (KeepAliveHandler,), {"seen": [], **attributes})
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        server.daemon_threads = True
+        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
+        servers.append(server)
+        return handler, f"http://127.0.0.1:{server.server_port}/v1"
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """The environment with no proxy settings; the test sets its own."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    return monkeypatch
+
+
+class TestLiveConnections:
+    def test_back_to_back_calls_share_one_connection(self, serve):
+        handler, url = serve()
+        backend = LiveBackend(base_url=url, api_key="k")
+        for i in range(3):
+            assert backend.complete(f"p{i}", CFG) == Completion(f"echo of: p{i}", attempts=1)
+        assert len(handler.seen) == 3
+        assert len({port for _, _, port in handler.seen}) == 1
+        path, headers, _ = handler.seen[0]
+        assert path == "/v1/chat/completions"
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer k"
+
+    def test_server_that_closes_idle_connections_costs_no_attempt(self, serve):
+        handler, url = serve(timeout=0.05)
+        backend = LiveBackend(base_url=url, api_key="k")
+        for i in range(3):
+            assert backend.complete(f"p{i}", CFG).attempts == 1
+            [idle] = backend._idle
+            # wait for the server to close the idle connection
+            assert select.select([idle.sock], [], [], 5.0)[0]
+        assert len(handler.seen) == 3
+        assert len({port for _, _, port in handler.seen}) == 3
+
+    def test_connection_close_answers_cost_no_attempt(self, serve):
+        handler, url = serve(close_each=True)
+        backend = LiveBackend(base_url=url, api_key="k")
+        for i in range(3):
+            assert backend.complete(f"p{i}", CFG).attempts == 1
+        assert len(handler.seen) == 3
+        assert len({port for _, _, port in handler.seen}) == 3
+        assert backend._idle == []
+
+    def test_handler_slower_than_the_timeout_is_a_timeout(self, serve):
+        handler, url = serve(delay_s=0.5)
+        backend = LiveBackend(base_url=url, api_key="k")
+        with pytest.raises(Timeout) as caught:
+            backend.complete("hello", replace(CFG, timeout_s=0.05))
+        assert caught.value.attempts == CFG.max_attempts
+        assert len(handler.seen) == CFG.max_attempts
+
+    def test_closed_port_is_a_protocol_error(self):
+        backend = LiveBackend(base_url=f"http://127.0.0.1:{closed_port()}/v1", api_key="k")
+        with pytest.raises(ProtocolError, match="transport failure: ConnectionRefusedError") as caught:
+            backend.complete("hello", CFG)
+        assert caught.value.attempts == CFG.max_attempts
+
+    def test_idle_connections_close_when_the_backend_is_collected(self, serve, tmp_path):
+        from cotbench.runner import run_experiment
+
+        handler, url = serve()
+        backend = LiveBackend(base_url=url, api_key="k")
+        run_experiment(small_live_spec({"kind": "live"}), backend, tmp_path / "r", workers=2)
+        assert len(handler.seen) == 8 and backend._idle
+        collected = weakref.ref(backend)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            del backend
+            gc.collect()
+        assert collected() is None
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_http_proxy_is_sent_the_absolute_url(self, serve, proxy_env):
+        handler, proxy = serve()
+        proxy_env.setenv("HTTP_PROXY", proxy.replace("http://", "http://user:p%40ss@").removesuffix("/v1"))
+        target = f"127.0.0.1:{closed_port()}"
+        backend = LiveBackend(base_url=f"http://{target}/v1", api_key="k")
+        assert backend.complete("hello", CFG) == Completion("echo of: hello", attempts=1)
+        [(path, headers, _)] = handler.seen
+        assert path == f"http://{target}/v1/chat/completions"
+        assert headers["Host"] == target
+        assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+    def test_https_goes_through_a_connect_tunnel(self, serve, proxy_env):
+        handler, proxy = serve()
+        proxy_env.setenv("HTTPS_PROXY", proxy.removesuffix("/v1"))
+        backend = LiveBackend(base_url="https://127.0.0.1:8443/v1", api_key="k")
+        with pytest.raises(ProtocolError, match="502"):
+            backend.complete("hello", replace(CFG, max_attempts=1))
+        assert [path for path, _, _ in handler.seen] == ["127.0.0.1:8443"]
+
+    def test_no_proxy_bypasses_the_proxy(self, serve, proxy_env):
+        handler, url = serve()
+        proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port()}")
+        proxy_env.setenv("NO_PROXY", "127.0.0.1")
+        backend = LiveBackend(base_url=url, api_key="k")
+        assert backend.complete("hello", CFG).attempts == 1
+        assert [path for path, _, _ in handler.seen] == ["/v1/chat/completions"]
+
+    @pytest.mark.parametrize("base_url", ["ftp://127.0.0.1/v1", "127.0.0.1:8000/v1", "http://127.0.0.1:99999/v1"])
+    def test_base_url_that_is_not_http_is_refused(self, base_url):
+        with pytest.raises(ValueError):
+            LiveBackend(base_url=base_url, api_key="k")
+
+
 class FakeClock:
     """Stands in for the ``time`` module: ``sleep`` advances ``monotonic`` and is logged."""
 
@@ -399,6 +572,17 @@ def test_preseeded_case_transcripts_replay_to_expected_verdicts():
         verdict = score(extracted, OracleAnswer(kind, CASE_ORACLES[task_code]))
         want = Verdict.CORRECT if expected_value == CASE_ORACLES[task_code] else Verdict.INCORRECT
         assert verdict is want, name
+
+
+def test_replay_refuses_a_store_without_spec_or_records(tmp_path):
+    from cotbench.runner import run_experiment
+
+    with pytest.raises(ValueError, match="no spec.json"):
+        ReplayBackend.from_run(tmp_path)
+    source = run_experiment(small_live_spec({"kind": "echo"}), OracleEchoBackend(), tmp_path / "source")
+    shutil.rmtree(source / "records")
+    with pytest.raises(ValueError, match="no records directory"):
+        ReplayBackend.from_run(source)
 
 
 def test_replay_answers_only_the_recorded_decoding(tmp_path):

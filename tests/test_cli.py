@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -204,6 +205,19 @@ class TestRunReportCompare:
         )
         assert code == 2
         assert "backend error: no spec.json" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_replay_store_without_records_is_a_backend_error(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path / "spec.json")
+        store = tmp_path / "store"
+        assert run_cli(capsys, "run", "--spec", str(spec), "--out", str(store))[0] == 0
+        shutil.rmtree(store / "records")
+        code, _, err = run_cli(
+            capsys, "run", "--spec", str(spec), "--out", str(tmp_path / "run"),
+            "--backend", "replay", "--store", str(store),
+        )
+        assert code == 2
+        assert f"backend error: no records directory in {store}" in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(

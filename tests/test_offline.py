@@ -1,7 +1,8 @@
-"""Offline work never imports ``requests``; only building a live backend does.
+"""Offline work never imports ``http.client`` or ``ssl``; only building a live backend does.
 
 Each check runs in a fresh interpreter, since the test process itself has
-long since imported the HTTP stack.
+long since imported the HTTP stack.  The live backend needs no third-party
+package at all.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ def run_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
-def test_offline_commands_run_with_requests_unimportable(tmp_path):
-    # a None entry in sys.modules makes every import of requests raise ImportError
+def test_offline_commands_never_load_http_client_or_ssl(tmp_path):
     result = run_python(
         """
         import sys
-        sys.modules["requests"] = None
 
         from cotbench import cli
         from cotbench.backends import make_backend
@@ -50,14 +49,15 @@ def test_offline_commands_run_with_requests_unimportable(tmp_path):
         assert compare_runs("echo", "corrupt").rows
         assert density_report([TaskId.PARITY_CHECK], [6]).rows
         assert cli.main(["report", "--run", "replay"]) == 0
-        assert sys.modules["requests"] is None and "urllib3" not in sys.modules
+        loaded = {"http.client", "ssl"} & set(sys.modules)
+        assert not loaded, loaded
         """,
         tmp_path,
     )
     assert result.returncode == 0, result.stderr
 
 
-def test_requests_is_imported_when_a_live_backend_is_built(tmp_path):
+def test_http_client_is_imported_when_a_live_backend_is_built(tmp_path):
     result = run_python(
         """
         import sys
@@ -67,31 +67,54 @@ def test_requests_is_imported_when_a_live_backend_is_built(tmp_path):
             make_backend({"kind": "live"})
         except AuthError:
             pass
-        assert "requests" not in sys.modules, "a live backend without a key loaded requests"
+        loaded = {"http.client", "ssl"} & set(sys.modules)
+        assert not loaded, f"a live backend without a key loaded {loaded}"
         make_backend({"kind": "live", "api_key": "k", "base_url": "http://127.0.0.1:9"})
-        assert "requests" in sys.modules
+        assert "http.client" in sys.modules
+        third_party = {"requests", "urllib3", "charset_normalizer", "idna"} & set(sys.modules)
+        assert not third_party, third_party
         """,
         tmp_path,
     )
     assert result.returncode == 0, result.stderr
 
 
-def test_live_run_without_requests_is_a_backend_error(tmp_path):
+def test_live_run_needs_no_requests(tmp_path):
     result = run_python(
         """
-        import json, os, sys
+        import json, os, sys, threading
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
         from pathlib import Path
         sys.modules["requests"] = None
-        os.environ["COTBENCH_API_KEY"] = "k"
 
         from cotbench import cli
 
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                data = json.dumps({"choices": [{"message": {"content": "{'Result': 0}"}}]}).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        server.daemon_threads = True
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        os.environ["COTBENCH_API_KEY"] = "k"
+        os.environ["COTBENCH_BASE_URL"] = f"http://127.0.0.1:{server.server_port}/v1"
+
         Path("spec.json").write_text(json.dumps({"tasks": ["pc"], "lengths": {"pc": [10]}, "instances_per_cell": 2}))
-        code = cli.main(["run", "--spec", "spec.json", "--backend", "live", "--out", "out"])
-        assert code == 2, code
-        assert not Path("out").exists()
+        assert cli.main(["run", "--spec", "spec.json", "--backend", "live", "--out", "out", "--workers", "2"]) == 0
+        records = [json.loads(line) for path in Path("out/records").iterdir() for line in path.read_text().splitlines()]
+        assert len(records) == 8 and all(record["error"] is None for record in records), records
+        assert sys.modules["requests"] is None
         """,
         tmp_path,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stderr.startswith("backend error: the live backend needs the requests package"), result.stderr
