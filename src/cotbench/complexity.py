@@ -87,8 +87,11 @@ def reference_instance(task: TaskId, length: int) -> TaskInstance:
     """Deterministic instance used when a census is asked for by length only.
 
     Permutation-space tasks get distinct letters so the census lands on
-    the canonical 1/length! density.
+    the canonical 1/length! density.  InvalidParams for a length below 2,
+    which no generated instance has either.
     """
+    if length < 2:
+        raise InvalidParams(f"length must be >= 2, got {length}")
     letters = string.ascii_lowercase
     if task in (TaskId.REVERSE_LIST, TaskId.ODDS_FIRST, TaskId.SORTING_LIST):
         if length > len(letters):

@@ -3,9 +3,12 @@
 A run is a directory: ``spec.json`` freezes the experiment definition,
 ``records/<cell>.jsonl`` collects one call record per line, and
 ``table.json`` / ``table.txt`` hold the aggregates.  Records are keyed by
-(cell, index) so interrupted runs resume without duplicating work.  A
-report reads the records one cell file at a time, so it holds one cell's
-records whatever the size of the run.
+(cell, index) so interrupted runs resume without duplicating work.  One
+function, ``check_record``, decides whether a line holds a record: a resume
+applies it and reads each record's key and outcome from the JSON, and a
+report applies it and builds each ``CallRecord``.  A report reads the
+records one cell file at a time, so it holds one cell's records whatever
+the size of the run.
 
 ``spec.json`` also records the version of the instance stream
 (``GENERATOR``), and a run directory written with another stream is not
@@ -21,19 +24,20 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from cotbench.extraction import ExtractedAnswer, ExtractionFailure, FailureReason, Verdict
 from cotbench.prompts import SupervisionKind
 from cotbench.tasks import (
     ANSWER_KINDS,
     DEFAULT_LENGTHS,
+    AnswerKind,
     InputRendering,
     MalformedInstance,
     OracleAnswer,
     TaskId,
     TaskInstance,
-    make_instance,
+    instance_fields,
 )
 
 # Version of the instance stream, frozen into each run's spec.json.  Bump it
@@ -46,6 +50,14 @@ SPEC_FILE = "spec.json"
 # One encoder for every record line: json.dumps given an option builds a new
 # encoder on each call.  Its output is json.dumps(..., ensure_ascii=False).
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+# The decoder json.loads uses.  A record line is stripped before it is
+# decoded, so json.loads' own whitespace handling has nothing to skip.
+_DECODER = json.JSONDecoder()
+
+# A record holds a verdict and a failure reason as their exact values.
+_VERDICTS = {verdict.value: verdict for verdict in Verdict}
+_REASONS = {reason.value: reason for reason in FailureReason}
 
 _TASK_ORDER = {task: i for i, task in enumerate(TaskId)}
 _KIND_ORDER = {kind: i for i, kind in enumerate(SupervisionKind)}
@@ -116,6 +128,11 @@ class CellKey:
     @cached_property
     def label(self) -> str:
         return f"{self.task.value}.{self.length}.{self.kind.value}.{self.rendering.value}"
+
+    @cached_property
+    def answer_kind(self) -> AnswerKind:
+        """The kind of answer the cell's task has; kept on the key, which records of one cell share."""
+        return ANSWER_KINDS[self.task]
 
     @property
     def sort_key(self):
@@ -319,45 +336,107 @@ class CallRecord:
 
     @staticmethod
     def from_json(data: dict) -> "CallRecord":
-        """Decode one record; ValueError, KeyError or MalformedInstance if ``data`` is not one."""
-        if not isinstance(data, dict):
-            raise ValueError(f"a record is a JSON object, not {type(data).__name__}")
-        try:
-            cell = CellKey.from_json(data)
-            kind = ANSWER_KINDS[cell.task]
-            instance = make_instance(
-                cell.task,
-                data["instance"]["elements"],
-                data["instance"].get("params") or {},
-                data["instance"].get("seed_path", ""),
-            )
-            oracle = OracleAnswer.from_json(kind, data["oracle"])
-            raw = data["extraction"]
-            extraction: ExtractedAnswer | ExtractionFailure
-            if not isinstance(raw, dict):
-                raise ValueError(f"extraction is a JSON object, not {type(raw).__name__}")
-            if raw.get("ok"):
-                extraction = ExtractedAnswer(raw["raw_span"], raw["value"], kind, raw["position"])
-            else:
-                extraction = ExtractionFailure(FailureReason(raw["reason"]), raw.get("detail", ""))
-            return CallRecord(
-                cell=cell,
-                index=int(data["index"]),
-                instance=instance,
-                oracle=oracle,
-                prompt_sha256=data["prompt_sha256"],
-                transcript=data["transcript"],
-                extraction=extraction,
-                verdict=Verdict(data["verdict"]),
-                error=data.get("error"),
-                error_detail=data.get("error_detail", ""),
-                latency_s=data.get("latency_s", 0.0),
-                attempts=data.get("attempts", 1),
-                timestamp=data.get("timestamp", ""),
-            )
-        except TypeError as exc:
-            # a field of the wrong JSON type, such as a list where text belongs
-            raise ValueError(f"malformed record: {exc}") from exc
+        """Decode one record; ValueError, KeyError or MalformedInstance if ``data`` is not one.
+
+        ``check_record`` holds the rules, and this builds the record from what it checked.
+        """
+        return _build_record(check_record(data))
+
+
+class CheckedRecord(NamedTuple):
+    """A record's JSON object that passed ``check_record``, with what the check parsed from it."""
+
+    data: dict
+    cell: CellKey
+    index: int
+    # the instance's symbols, params and payload length, as instance_fields gives them
+    instance: tuple[tuple[str, ...], dict, int]
+    # why the extraction failed, or None if it found an answer
+    reason: FailureReason | None
+    verdict: Verdict
+
+
+def _member(members: dict, value, noun: str):
+    """The enum member whose value is ``value``; ValueError if none is."""
+    member = members.get(value)
+    if member is None:
+        raise ValueError(f"unknown {noun} {value!r}")
+    return member
+
+
+def _require(obj: dict, names: tuple[str, ...]) -> None:
+    """KeyError for the first of ``names`` that ``obj`` lacks."""
+    for name in names:
+        if name not in obj:
+            raise KeyError(name)
+
+
+def check_record(data) -> CheckedRecord:
+    """Check that ``data``, a decoded record line, holds a record; it comes back with what was parsed.
+
+    This is every rule a record keeps, for a resume that reads only a
+    record's key and outcome and for ``CallRecord.from_json`` alike:
+
+    - it is a JSON object naming a known task, kind and rendering, with a
+      length and an index that ``int()`` accepts;
+    - its instance passes ``instance_fields``: the symbols are in the
+      task's alphabet, and a palindrome has one marker, at its centre;
+    - its oracle has the JSON type of the task's answer;
+    - its extraction is an object holding ``raw_span``, ``value`` and
+      ``position`` if ``ok``, and a known failure ``reason`` if not;
+    - it holds a ``prompt_sha256``, a ``transcript`` and a known verdict.
+
+    ValueError, KeyError or MalformedInstance if it breaks one; a field of
+    the wrong JSON type, such as a list where text belongs, is a ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a record is a JSON object, not {type(data).__name__}")
+    try:
+        cell = CellKey.from_json(data)
+        raw_instance = data["instance"]
+        instance = instance_fields(cell.task, raw_instance["elements"], raw_instance.get("params"))
+        OracleAnswer.check_json(cell.answer_kind, data["oracle"])
+        raw = data["extraction"]
+        if not isinstance(raw, dict):
+            raise ValueError(f"extraction is a JSON object, not {type(raw).__name__}")
+        if raw.get("ok"):
+            _require(raw, ("raw_span", "value", "position"))
+            reason = None
+        else:
+            reason = _member(_REASONS, raw["reason"], "failure reason")
+        index = int(data["index"])
+        _require(data, ("prompt_sha256", "transcript"))
+        verdict = _member(_VERDICTS, data["verdict"], "verdict")
+        return CheckedRecord(data, cell, index, instance, reason, verdict)
+    except TypeError as exc:
+        raise ValueError(f"malformed record: {exc}") from exc
+
+
+def _build_record(checked: CheckedRecord) -> CallRecord:
+    """The record a checked JSON object holds; nothing is checked again."""
+    data, cell, index, (elements, params, length), reason, verdict = checked
+    kind = cell.answer_kind
+    raw = data["extraction"]
+    extraction: ExtractedAnswer | ExtractionFailure
+    if reason is None:
+        extraction = ExtractedAnswer(raw["raw_span"], raw["value"], kind, raw["position"])
+    else:
+        extraction = ExtractionFailure(reason, raw.get("detail", ""))
+    return CallRecord(
+        cell=cell,
+        index=index,
+        instance=TaskInstance(cell.task, elements, params, length, data["instance"].get("seed_path", "")),
+        oracle=OracleAnswer(kind, data["oracle"]),
+        prompt_sha256=data["prompt_sha256"],
+        transcript=data["transcript"],
+        extraction=extraction,
+        verdict=verdict,
+        error=data.get("error"),
+        error_detail=data.get("error_detail", ""),
+        latency_s=data.get("latency_s", 0.0),
+        attempts=data.get("attempts", 1),
+        timestamp=data.get("timestamp", ""),
+    )
 
 
 def _record_line(cell_json: str, record: CallRecord, shared_json: str) -> str:
@@ -431,16 +510,17 @@ def init_run_dir(run_dir: Path, spec: ExperimentSpec) -> None:
         raise SpecError(f"{path} holds a different spec; refusing to mix runs")
 
 
-def load_cell_records(path: Path, instances_per_cell: int) -> dict[int, CallRecord]:
-    """Parse one cell file, keeping only the records that belong in it.
+def scan_cell_file(path: Path, instances_per_cell: int) -> dict[int, CheckedRecord]:
+    """The records one cell file holds that belong in it, checked but not built, by index.
 
-    A torn line, JSON that is not a record and a malformed instance are all
-    skipped, and so is a record of another cell or with an index outside
-    ``0 .. instances_per_cell - 1``.  Of several records for one index the
-    last one wins, so a call re-issued on resume replaces the error it was
-    re-issued for.
+    Each line is stripped and a blank one skipped.  A torn line and JSON
+    that is not a record (``check_record``) are skipped, and so is a record
+    of another cell or with an index outside ``0 .. instances_per_cell - 1``.
+    Of several records for one index the last one wins, so a call re-issued
+    on resume replaces the error it was re-issued for.  A missing file holds
+    no record.
     """
-    records: dict[int, CallRecord] = {}
+    records: dict[int, CheckedRecord] = {}
     if not path.exists():
         return records
     label = path.stem
@@ -450,18 +530,31 @@ def load_cell_records(path: Path, instances_per_cell: int) -> dict[int, CallReco
             if not line:
                 continue
             try:
-                record = CallRecord.from_json(json.loads(line))
+                data, end = _DECODER.raw_decode(line)
+                if end < len(line):
+                    raise ValueError("extra data after the JSON value")
+                checked = check_record(data)
             except (ValueError, KeyError, MalformedInstance):
                 continue
-            if record.cell.label == label and 0 <= record.index < instances_per_cell:
-                records[record.index] = record
+            if checked.cell.label == label and 0 <= checked.index < instances_per_cell:
+                records[checked.index] = checked
     return records
+
+
+def load_cell_records(path: Path, instances_per_cell: int) -> dict[int, CallRecord]:
+    """The records ``scan_cell_file`` keeps from one cell file, each built once, by index.
+
+    Only the kept records are built: a line that a later one for its index
+    replaces is checked, never decoded into a ``CallRecord``.
+    """
+    records = scan_cell_file(path, instances_per_cell)
+    return {index: _build_record(checked) for index, checked in records.items()}
 
 
 def load_records(run_dir: str | Path) -> Iterator[CallRecord]:
     """The records of a run that belong in their cell files, one cell file after another.
 
-    Cell files are read in sorted order, by the rules of ``load_cell_records``,
+    Cell files are read in sorted order, by the rules of ``scan_cell_file``,
     and the records of one file share one ``CellKey``.  The generator lets go
     of each record as it hands it out, so it holds at most one cell's records;
     a caller that keeps none holds no more.  Without a ``spec.json`` no index

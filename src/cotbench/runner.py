@@ -36,14 +36,13 @@ from cotbench.rundir import (
     cell_file,
     encode_shared,
     init_run_dir,
-    load_cell_records,
     load_records,
     load_spec,
     record_appender,
+    scan_cell_file,
     write_table,
 )
 from cotbench.tasks import (
-    ANSWER_KINDS,
     OracleAnswer,
     TaskId,
     TaskInstance,
@@ -107,7 +106,6 @@ def _execute_call(
     oracle: OracleAnswer,
 ) -> CallRecord:
     prompt = render_prompt(get_template(cell.task, cell.kind), instance, cell.rendering)
-    kind = ANSWER_KINDS[cell.task]
 
     start = time.monotonic()
     error = None
@@ -126,7 +124,7 @@ def _execute_call(
     latency = time.monotonic() - start
 
     if error is None:
-        extraction = extract_result(transcript, kind)
+        extraction = extract_result(transcript, cell.answer_kind)
     else:
         extraction = ExtractionFailure(FailureReason.NO_RESULT_FOUND, f"backend error: {error}")
     verdict = score(extraction, oracle)
@@ -163,6 +161,10 @@ def run_experiment(
     interrupt cancels the calls not yet started, waits for those in flight,
     saves the record of every call that succeeded and is raised again.
 
+    A resume first reads each cell file with ``scan_cell_file``: a record
+    there passes the same ``check_record`` as a report's, but only its index
+    and whether its ``error`` is set are read, and no ``CallRecord`` is built.
+
     Each instance and its oracle are built once and handed to every pending
     kind of its (task, length, index).  With one worker the calls run in the
     calling thread, one instance at a time, and each cell file receives its
@@ -186,8 +188,8 @@ def run_experiment(
         # error is issued again
         done = []
         for cell in group:
-            records = load_cell_records(cell_file(run_dir, cell), spec.instances_per_cell)
-            done.append({index for index, record in records.items() if record.error is None})
+            records = scan_cell_file(cell_file(run_dir, cell), spec.instances_per_cell)
+            done.append({index for index, checked in records.items() if checked.data.get("error") is None})
         for index in range(spec.instances_per_cell):
             todo = [cell for cell, indices in zip(group, done) if index not in indices]
             if todo:

@@ -138,6 +138,12 @@ ALPHABETS = {
 # Membership tests run on these sets: on the pool strings, `in` would
 # also admit substrings such as "" and "ab" as symbols.
 _SYMBOLS = {task: frozenset(pool) for task, pool in ALPHABETS.items()}
+# The params an instance holds unless it gives its own; the other tasks have none.
+_DEFAULT_PARAMS = {
+    TaskId.PARITY_CHECK: {"letter": "a"},
+    TaskId.CYCLE_NAVIGATION: {"modulus": 5},
+    TaskId.DUPLICATE_LIST: {"alphabet": ALPHABETS[TaskId.DUPLICATE_LIST]},
+}
 
 
 @dataclass(frozen=True)
@@ -163,18 +169,16 @@ class OracleAnswer:
         return self.value
 
     @staticmethod
-    def from_json(kind: AnswerKind, value: bool | int | str) -> "OracleAnswer":
+    def check_json(kind: AnswerKind, value) -> None:
+        """ValueError unless ``value`` has ``kind``'s JSON type: a bool, an int that is no bool, or text."""
         if kind is AnswerKind.BOOL:
-            if not isinstance(value, bool):
-                raise ValueError(f"expected bool, got {value!r}")
-            return OracleAnswer.of_bool(value)
-        if kind is AnswerKind.INT:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"expected int, got {value!r}")
-            return OracleAnswer.of_int(value)
-        if not isinstance(value, str):
-            raise ValueError(f"expected str, got {value!r}")
-        return OracleAnswer.of_text(value)
+            ok = isinstance(value, bool)
+        elif kind is AnswerKind.INT:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        else:
+            ok = isinstance(value, str)
+        if not ok:
+            raise ValueError(f"expected {kind.value}, got {value!r}")
 
 
 class InputRendering(Enum):
@@ -202,12 +206,6 @@ class TaskInstance:
     length: int = 0
     seed_path: str = ""
 
-    def payload(self) -> tuple[str, ...]:
-        """Elements without the palindrome marker."""
-        if self.task is TaskId.PALINDROME_VERIFICATION:
-            return tuple(e for e in self.elements if e != PALINDROME_MARKER)
-        return self.elements
-
     # The input texts are built on first use and kept in the instance's
     # __dict__, outside the dataclass fields, so the prompt kinds that share
     # an instance share them too; equality and repr do not see them.
@@ -230,53 +228,41 @@ def make_instance(
     seed_path: str = "",
 ) -> TaskInstance:
     """Build and validate an instance from raw symbols."""
+    return TaskInstance(task, *instance_fields(task, elements, params), seed_path)
+
+
+def instance_fields(
+    task: TaskId, elements: Sequence[str], params: dict | None = None
+) -> tuple[tuple[str, ...], dict, int]:
+    """The symbols, params and payload length of an instance of ``task`` built from raw fields.
+
+    The params are the task's defaults updated by ``params``.  Raises
+    MalformedInstance if the symbols break the task's invariants: a symbol
+    outside its alphabet (a duplicate-list instance's own ``alphabet``
+    param), or a palindrome without exactly one '#' marker at its centre.
+    """
     elements = tuple(elements)
-    if task is TaskId.PALINDROME_VERIFICATION:
-        length = sum(1 for e in elements if e != PALINDROME_MARKER)
-    else:
-        length = len(elements)
-    merged = dict(_default_params(task))
+    merged = dict(_DEFAULT_PARAMS.get(task, {}))
     merged.update(params or {})
-    instance = TaskInstance(task, elements, merged, length, seed_path)
-    validate_instance(instance)
-    return instance
-
-
-def _default_params(task: TaskId) -> dict:
-    if task is TaskId.PARITY_CHECK:
-        return {"letter": "a"}
-    if task is TaskId.CYCLE_NAVIGATION:
-        return {"modulus": 5}
-    if task is TaskId.DUPLICATE_LIST:
-        return {"alphabet": ALPHABETS[TaskId.DUPLICATE_LIST]}
-    return {}
-
-
-def validate_instance(instance: TaskInstance) -> None:
-    """Raise MalformedInstance if structural invariants fail."""
-    task = instance.task
     if task is TaskId.PALINDROME_VERIFICATION:
-        markers = instance.elements.count(PALINDROME_MARKER)
+        markers = elements.count(PALINDROME_MARKER)
         if markers != 1:
             raise MalformedInstance(f"palindrome instance needs exactly one marker, found {markers}")
-        mid = instance.elements.index(PALINDROME_MARKER)
-        if mid * 2 + 1 != len(instance.elements):
+        mid = elements.index(PALINDROME_MARKER)
+        if mid * 2 + 1 != len(elements):
             raise MalformedInstance("palindrome marker is not centered")
-        if instance.length % 2 != 0 or instance.length != len(instance.elements) - 1:
-            raise MalformedInstance("palindrome length must count the payload symbols, evenly split")
         symbols = _SYMBOLS[task]
-        payload = instance.payload()
+        payload = elements[:mid] + elements[mid + 1 :]
     else:
-        if instance.length != len(instance.elements):
-            raise MalformedInstance("length must equal the number of elements")
         if task is TaskId.DUPLICATE_LIST:
-            symbols = frozenset(instance.params.get("alphabet", ALPHABETS[task]))
+            symbols = frozenset(merged.get("alphabet", ALPHABETS[task]))
         else:
             symbols = _SYMBOLS[task]
-        payload = instance.elements
+        payload = elements
     if not symbols.issuperset(payload):
         bad = [e for e in payload if e not in symbols]
         raise MalformedInstance(f"symbols {bad!r} outside alphabet for {task.value}")
+    return elements, merged, len(payload)
 
 
 def rng_for(seed_path: str) -> random.Random:

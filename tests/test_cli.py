@@ -334,6 +334,18 @@ class TestComplexityCommand:
         assert code == 0
         assert "1/2" in out and "1/5" in out and "1/24" in out
 
+    def test_census_of_a_length_below_two_is_an_error_row(self, capsys):
+        code, out, _ = run_cli(capsys, "complexity", "--tasks", "rl,pc", "--lengths=-3,0,1,4")
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[2:]]
+        # the censuses first, then one error row per refused cell
+        assert [row[:2] for row in rows] == [
+            ["RL", "4"], ["PC", "4"],
+            ["RL", "-3"], ["RL", "0"], ["RL", "1"], ["PC", "-3"], ["PC", "0"], ["PC", "1"],
+        ]
+        for row in rows[2:]:
+            assert " ".join(row[-8:]) == f"error: length must be >= 2, got {row[1]}"
+
     def test_no_action_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "complexity")
         assert code == 2

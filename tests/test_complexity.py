@@ -244,3 +244,10 @@ class TestReferenceInstance:
     def test_odd_balanced_rejected(self):
         with pytest.raises(InvalidParams):
             reference_instance(TaskId.EQUAL_NUMBER, 5)
+
+    @pytest.mark.parametrize("task", list(TaskId))
+    @pytest.mark.parametrize("length", [-3, 0, 1])
+    def test_length_below_two_rejected(self, task, length):
+        # generate_instance and ExperimentSpec.validate refuse these lengths too
+        with pytest.raises(InvalidParams, match="length must be >= 2"):
+            reference_instance(task, length)

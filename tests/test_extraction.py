@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotbench.extraction import (
+    RESULT_RE,
     ExtractedAnswer,
     ExtractionFailure,
     FailureReason,
@@ -151,3 +154,30 @@ class TestProperties:
         assert isinstance(first, ExtractedAnswer)
         assert isinstance(second, ExtractedAnswer)
         assert first.value == second.value
+
+
+# RESULT_RE as it was written before its quoted strings were unrolled: one
+# alternation per character.  Both must match the same language.
+ALTERNATING_RESULT_RE = re.compile(
+    r"\{\s*(?:'Result'|\"Result\"|Result)\s*:\s*(?P<value>"
+    r"True|False|true|false"
+    r"|[+-]?\d+"
+    r"|'(?:[^'\\\n]|\\.)*'"
+    r"|\"(?:[^\"\\\n]|\\.)*\""
+    r")\s*\}"
+)
+
+# the pieces a result dictionary and its quoted strings are made of, and a
+# quoted result's opening and closing, so that about a third of the drawn
+# strings hold a quoted match
+RESULT_PIECES = ["{", "}", "'", '"', "\\", "\n", ":", " ", "Result", "True", "1", "-", "a"]
+RESULT_PIECES += ["{'Result': '", '{"Result": "', "'}", '"}']
+
+
+@given(st.lists(st.sampled_from(RESULT_PIECES), max_size=40).map("".join))
+@settings(max_examples=1000, deadline=None)
+def test_unrolled_pattern_matches_like_the_alternating_one(text):
+    def spans(pattern):
+        return [(m.span(), m.group("value")) for m in pattern.finditer(text)]
+
+    assert spans(RESULT_RE) == spans(ALTERNATING_RESULT_RE)

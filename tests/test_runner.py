@@ -42,7 +42,7 @@ from cotbench.runner import (
     two_proportion_z,
     wilson_interval,
 )
-from cotbench.tasks import ANSWER_KINDS, DEFAULT_LENGTHS, AnswerKind, InputRendering, TaskId
+from cotbench.tasks import ANSWER_KINDS, DEFAULT_LENGTHS, AnswerKind, InputRendering, MalformedInstance, TaskId
 
 from conftest import keyed_records
 
@@ -60,6 +60,77 @@ def small_spec(**overrides) -> ExperimentSpec:
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def three_task_spec() -> ExperimentSpec:
+    """One Base cell each of a parity, a palindrome and a duplicate-list task, whose instance rules differ."""
+    tasks = [TaskId.PARITY_CHECK, TaskId.PALINDROME_VERIFICATION, TaskId.DUPLICATE_LIST]
+    return small_spec(tasks=tasks, lengths=dict(zip(tasks, [[20], [4], [4]])), kinds=[SupervisionKind.BASE])
+
+
+# A field that a changed record leaves out.
+DROP = object()
+
+
+def altered(line: str, changes: dict) -> str:
+    """A record line with fields changed: set to a value, to a function of the old value, or left out (DROP)."""
+    data = json.loads(line)
+    for name, change in changes.items():
+        if change is DROP:
+            del data[name]
+        else:
+            data[name] = change(data[name]) if callable(change) else change
+    return json.dumps(data)
+
+
+def with_instance(**fields):
+    """A change to a record's instance that sets these of its fields."""
+    return lambda instance: {**instance, **fields}
+
+
+# Lines that hold no record, one case per rule of rundir.check_record and of
+# the line's JSON, as (id, task, line): a whole line, a function of the first
+# record line of the task's cell file, or the changes that turn that record
+# into one that breaks the rule.
+NOT_RECORDS = [
+    ("list", "pc", "[]"),
+    ("null", "pc", "null"),
+    ("number", "pc", "7"),
+    ("two-records-on-one-line", "pc", lambda first: 2 * altered(first, {"error": "Timeout"})),
+    ("byte-order-mark", "pc", lambda first: "\ufeff" + altered(first, {"error": "Timeout"})),
+    ("int-task", "pc", {"task": 5}),
+    ("list-task", "pc", {"task": ["pc"]}),
+    ("unknown-kind", "pc", {"kind": "nope"}),
+    ("length-no-number", "pc", {"length": "twenty"}),
+    ("bad-symbol", "pc", {"instance": {"elements": ["z"] * 20, "params": {}, "seed_path": ""}}),
+    ("number-elements", "pc", {"instance": with_instance(elements=7)}),
+    ("two-markers", "pv", {"instance": lambda inst: {**inst, "elements": ["#"] + inst["elements"][1:]}}),
+    ("marker-off-centre", "pv", {"instance": lambda inst: {**inst, "elements": sorted(inst["elements"])}}),
+    ("symbol-outside-dl-alphabet", "dl", {"instance": with_instance(elements=list("abca"))}),
+    ("oracle-of-wrong-type", "pc", {"oracle": "true"}),
+    ("extraction-list", "pc", {"extraction": ["ok"]}),
+    ("unknown-failure-reason", "pc", {"extraction": {"ok": False, "reason": "Nope", "detail": ""}}),
+    ("answer-without-span", "pc", {"extraction": lambda raw: {k: v for k, v in raw.items() if k != "raw_span"}}),
+    ("unknown-verdict", "pc", {"verdict": "maybe"}),
+    ("index-no-number", "pc", {"index": "three"}),
+    ("no-transcript", "pc", {"transcript": DROP}),
+    ("no-prompt-hash", "pc", {"prompt_sha256": DROP}),
+]
+
+# Changes that leave a record odd but keep every rule, so it still counts:
+# int() reads the index and the length, names are parsed without regard to
+# case or surrounding spaces, a text is a sequence of symbols, a list of
+# pairs updates the params, and the call's telemetry has defaults.
+ODD_RECORDS = [
+    ("index-as-text", {"index": "3"}),
+    ("index-as-float", {"index": 3.0}),
+    ("length-as-text", {"length": "20"}),
+    ("names-in-capitals", {"task": " PC ", "kind": "BASE", "rendering": "List"}),
+    ("elements-as-text", {"instance": lambda inst: {**inst, "elements": "".join(inst["elements"])}}),
+    ("params-as-pairs", {"instance": with_instance(params=[["letter", "a"]])}),
+    ("ok-as-number", {"extraction": lambda raw: {**raw, "ok": 1}}),
+    ("no-telemetry", dict.fromkeys(["error", "error_detail", "latency_s", "attempts", "timestamp"], DROP)),
+]
 
 
 class TestSpec:
@@ -348,32 +419,41 @@ class TestRunExperiment:
             per_cell.setdefault(label, set()).add(i)
         assert all(v == set(range(10)) for v in per_cell.values())
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "[]",
-            "null",
-            "7",
-            {"task": 5},
-            {"task": ["pc"]},
-            {"instance": {"elements": ["z"] * 20, "params": {}, "seed_path": ""}},
-        ],
-        ids=["list", "null", "number", "int-task", "list-task", "bad-symbol"],
-    )
-    def test_resume_and_report_skip_json_that_is_no_record(self, tmp_path, bad):
-        spec = small_spec()
+    @pytest.mark.parametrize("task,bad", [pytest.param(task, bad, id=id_) for id_, task, bad in NOT_RECORDS])
+    def test_resume_and_report_skip_json_that_is_no_record(self, tmp_path, task, bad):
+        spec = three_task_spec()
         run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
         before = aggregate(run_dir, write=False).to_json()
-        cell_file = sorted((run_dir / "records").glob("*.jsonl"))[0]
+        (cell_file,) = (run_dir / "records").glob(f"{task}.*.jsonl")
+        first = cell_file.read_text().split("\n")[0]
         if isinstance(bad, dict):
-            first = json.loads(cell_file.read_text().split("\n")[0])
-            bad = json.dumps({**first, **bad})
+            # kept, the changed copy would replace the first record with a
+            # backend error: a resume would issue a call, a report count it
+            bad = altered(first, {**bad, "error": "Timeout"})
+        elif callable(bad):
+            bad = bad(first)
         with open(cell_file, "a") as fh:
             fh.write(bad + "\n")
         backend = StallingBackend()
         run_experiment(spec, backend, run_dir)
         assert backend.calls == 0
         assert aggregate(run_dir, write=False).to_json() == before
+
+    @pytest.mark.parametrize("change", [pytest.param(change, id=id_) for id_, change in ODD_RECORDS])
+    def test_resume_and_report_count_odd_records_that_keep_every_rule(self, tmp_path, change):
+        spec = small_spec(kinds=[SupervisionKind.BASE])
+        clean = aggregate(run_experiment(spec, OracleEchoBackend(), tmp_path / "clean"), write=False)
+        run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
+        cell_file = run_dir / "records" / "pc.20.base.list.jsonl"
+        lines = cell_file.read_text().splitlines()
+        # index 3's record, changed, moves to the end; dropped, it would be issued again
+        (third,) = [line for line in lines if json.loads(line)["index"] == 3]
+        kept = [line for line in lines if line != third]
+        cell_file.write_text("\n".join(kept + [altered(third, change)]) + "\n")
+        backend = StallingBackend()
+        run_experiment(spec, backend, run_dir)
+        assert backend.calls == 0
+        assert aggregate(run_dir, write=False).to_json() == clean.to_json()
 
     def test_resume_reissues_errored_calls(self, tmp_path):
         spec = small_spec(kinds=[SupervisionKind.BASE], instances_per_cell=20)
@@ -802,3 +882,42 @@ class TestRecordLines:
             return out
 
         assert without_timing(runs[1]) == without_timing(runs[2])
+
+
+class TestRecordCheck:
+    """``check_record`` holds every rule, and the resume scan and the full decode both apply it."""
+
+    @pytest.fixture(scope="class")
+    def first_lines(self, tmp_path_factory):
+        """By task, the name of its cell file and the file's first line."""
+        run_dir = run_experiment(three_task_spec(), OracleEchoBackend(), tmp_path_factory.mktemp("run"))
+        paths = (run_dir / "records").glob("*.jsonl")
+        return {path.name.split(".")[0]: (path.name, path.read_text().split("\n")[0]) for path in paths}
+
+    CASES = (
+        [pytest.param(task, bad, False, id=id_) for id_, task, bad in NOT_RECORDS]
+        + [pytest.param("pc", change, True, id=id_) for id_, change in ODD_RECORDS]
+        + [pytest.param(task, {}, True, id=f"unchanged-{task}") for task in ("pc", "pv", "dl")]
+    )
+
+    @pytest.mark.parametrize("task,line,is_record", CASES)
+    def test_check_scan_and_full_decode_keep_and_skip_alike(self, tmp_path, first_lines, task, line, is_record):
+        name, first = first_lines[task]
+        if isinstance(line, dict):
+            line = altered(first, line)
+        elif callable(line):
+            line = line(first)
+        errors = (ValueError, KeyError, MalformedInstance)
+
+        def passes(decode) -> bool:
+            try:
+                decode(json.loads(line))
+            except errors:
+                return False
+            return True
+
+        assert passes(rundir.check_record) is is_record
+        assert passes(CallRecord.from_json) is is_record
+        path = tmp_path / name
+        path.write_text(line + "\n")
+        assert len(rundir.scan_cell_file(path, 10)) == len(rundir.load_cell_records(path, 10)) == is_record

@@ -345,8 +345,8 @@ class TestDumpFormat:
                 rec = json.loads(line)
                 task = TaskId.parse(rec["task"])
                 parsed = make_instance(task, rec["elements"], rec["params"])
-                oracle = OracleAnswer.from_json(ANSWER_KINDS[task], rec["oracle"])
-                assert oracle == oracle_solve(task, parsed)
+                OracleAnswer.check_json(ANSWER_KINDS[task], rec["oracle"])
+                assert OracleAnswer(ANSWER_KINDS[task], rec["oracle"]) == oracle_solve(task, parsed)
                 assert instance_record(parsed) == rec
 
     def test_malformed_palindrome_rejected(self):
@@ -367,11 +367,12 @@ class TestDumpFormat:
             make_instance(TaskId.PALINDROME_VERIFICATION, [symbol, "#", "a"])
 
     def test_oracle_answer_json_typing(self):
-        assert OracleAnswer.from_json(AnswerKind.BOOL, True).value is True
-        with pytest.raises(ValueError):
-            OracleAnswer.from_json(AnswerKind.INT, True)
-        with pytest.raises(ValueError):
-            OracleAnswer.from_json(AnswerKind.BOOL, 1)
+        OracleAnswer.check_json(AnswerKind.BOOL, True)
+        OracleAnswer.check_json(AnswerKind.INT, 0)
+        OracleAnswer.check_json(AnswerKind.TEXT, "ab")
+        for kind, value in [(AnswerKind.INT, True), (AnswerKind.BOOL, 1), (AnswerKind.TEXT, 1), (AnswerKind.INT, 1.0)]:
+            with pytest.raises(ValueError):
+                OracleAnswer.check_json(kind, value)
 
 
 def scan_parse_enum(cls, text, noun):
