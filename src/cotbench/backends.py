@@ -177,16 +177,19 @@ class ReplayBackend(ModelBackend):
 
     @staticmethod
     def from_run(run_dir: str | Path) -> "ReplayBackend":
-        """The transcripts of a run directory's records, except calls that ended in an error."""
+        """The transcripts of a run directory's checked records, except calls that ended in an error.
+
+        Each is read from the record's JSON object; no ``CallRecord`` is built.
+        """
         spec = load_spec(Path(run_dir))
         if spec is None:
             raise ValueError(f"no spec.json in {run_dir}: replay needs a run directory")
         if not is_run_dir(run_dir):
             raise ValueError(f"no records directory in {run_dir}: replay needs a run directory")
         transcripts = {
-            record.prompt_sha256: record.transcript
-            for record in load_records(run_dir)
-            if record.error is None
+            checked.data["prompt_sha256"]: checked.data["transcript"]
+            for checked in load_records(run_dir)
+            if checked.outcome is not None
         }
         return ReplayBackend(transcripts, spec.completion)
 

@@ -4,11 +4,12 @@ A run is a directory: ``spec.json`` freezes the experiment definition,
 ``records/<cell>.jsonl`` collects one call record per line, and
 ``table.json`` / ``table.txt`` hold the aggregates.  Records are keyed by
 (cell, index) so interrupted runs resume without duplicating work.  One
-function, ``check_record``, decides whether a line holds a record: a resume
-applies it and reads each record's key and outcome from the JSON, and a
-report applies it and builds each ``CallRecord``.  A report reads the
-records one cell file at a time, so it holds one cell's records whatever
-the size of the run.
+function, ``check_record``, decides whether a line holds a record, and a
+resume, a report and a replay all read a record's key, outcome and
+transcript from the ``CheckedRecord`` it returns; none builds a
+``CallRecord``, which only a run writes.  A report reads the records one
+cell file at a time, so it holds one cell's records whatever the size of
+the run.
 
 ``spec.json`` also records the version of the instance stream
 (``GENERATOR``), and a run directory written with another stream is not
@@ -276,13 +277,13 @@ def encode_shared(instance: TaskInstance, oracle: OracleAnswer) -> str:
 
 @dataclass
 class CallRecord:
-    """Everything needed to audit or re-score one evaluation event.
+    """Everything needed to audit or re-score one evaluation event, as a run writes it.
 
     A record's JSON object is three parts in a row: the call head (the
     cell's fields, then the index), the part shared by the kinds of one
     instance (``_shared_json``) and the call tail (``tail_json``).  A run
     encodes the three apart (``_record_line``), each only as often as it
-    changes.
+    changes.  A stored record is read back as a ``CheckedRecord``.
     """
 
     cell: CellKey
@@ -334,14 +335,6 @@ class CallRecord:
             "timestamp": self.timestamp,
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "CallRecord":
-        """Decode one record; ValueError, KeyError or MalformedInstance if ``data`` is not one.
-
-        ``check_record`` holds the rules, and this builds the record from what it checked.
-        """
-        return _build_record(check_record(data))
-
 
 class CheckedRecord(NamedTuple):
     """A record's JSON object that passed ``check_record``, with what the check parsed from it."""
@@ -354,6 +347,11 @@ class CheckedRecord(NamedTuple):
     # why the extraction failed, or None if it found an answer
     reason: FailureReason | None
     verdict: Verdict
+
+    @property
+    def outcome(self) -> Verdict | None:
+        """What the record says about the model: its verdict, or None after a backend error."""
+        return self.verdict if self.data.get("error") is None else None
 
 
 def _member(members: dict, value, noun: str):
@@ -374,8 +372,7 @@ def _require(obj: dict, names: tuple[str, ...]) -> None:
 def check_record(data) -> CheckedRecord:
     """Check that ``data``, a decoded record line, holds a record; it comes back with what was parsed.
 
-    This is every rule a record keeps, for a resume that reads only a
-    record's key and outcome and for ``CallRecord.from_json`` alike:
+    This is every rule a record keeps, for a resume, a report and a replay alike:
 
     - it is a JSON object naming a known task, kind and rendering, with a
       length and an index that ``int()`` accepts;
@@ -387,7 +384,8 @@ def check_record(data) -> CheckedRecord:
     - it holds a ``prompt_sha256``, a ``transcript`` and a known verdict.
 
     ValueError, KeyError or MalformedInstance if it breaks one; a field of
-    the wrong JSON type, such as a list where text belongs, is a ValueError.
+    the wrong JSON type, such as a list where text belongs, is a ValueError,
+    and so is a length or an index that is not finite, such as ``Infinity``.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a record is a JSON object, not {type(data).__name__}")
@@ -408,35 +406,8 @@ def check_record(data) -> CheckedRecord:
         _require(data, ("prompt_sha256", "transcript"))
         verdict = _member(_VERDICTS, data["verdict"], "verdict")
         return CheckedRecord(data, cell, index, instance, reason, verdict)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed record: {exc}") from exc
-
-
-def _build_record(checked: CheckedRecord) -> CallRecord:
-    """The record a checked JSON object holds; nothing is checked again."""
-    data, cell, index, (elements, params, length), reason, verdict = checked
-    kind = cell.answer_kind
-    raw = data["extraction"]
-    extraction: ExtractedAnswer | ExtractionFailure
-    if reason is None:
-        extraction = ExtractedAnswer(raw["raw_span"], raw["value"], kind, raw["position"])
-    else:
-        extraction = ExtractionFailure(reason, raw.get("detail", ""))
-    return CallRecord(
-        cell=cell,
-        index=index,
-        instance=TaskInstance(cell.task, elements, params, length, data["instance"].get("seed_path", "")),
-        oracle=OracleAnswer(kind, data["oracle"]),
-        prompt_sha256=data["prompt_sha256"],
-        transcript=data["transcript"],
-        extraction=extraction,
-        verdict=verdict,
-        error=data.get("error"),
-        error_detail=data.get("error_detail", ""),
-        latency_s=data.get("latency_s", 0.0),
-        attempts=data.get("attempts", 1),
-        timestamp=data.get("timestamp", ""),
-    )
 
 
 def _record_line(cell_json: str, record: CallRecord, shared_json: str) -> str:
@@ -511,14 +482,14 @@ def init_run_dir(run_dir: Path, spec: ExperimentSpec) -> None:
 
 
 def scan_cell_file(path: Path, instances_per_cell: int) -> dict[int, CheckedRecord]:
-    """The records one cell file holds that belong in it, checked but not built, by index.
+    """The records one cell file holds that belong in it, checked, by index.
 
     Each line is stripped and a blank one skipped.  A torn line and JSON
     that is not a record (``check_record``) are skipped, and so is a record
     of another cell or with an index outside ``0 .. instances_per_cell - 1``.
     Of several records for one index the last one wins, so a call re-issued
     on resume replaces the error it was re-issued for.  A missing file holds
-    no record.
+    no record.  The resume and ``load_records`` both read cell files here.
     """
     records: dict[int, CheckedRecord] = {}
     if not path.exists():
@@ -541,23 +512,13 @@ def scan_cell_file(path: Path, instances_per_cell: int) -> dict[int, CheckedReco
     return records
 
 
-def load_cell_records(path: Path, instances_per_cell: int) -> dict[int, CallRecord]:
-    """The records ``scan_cell_file`` keeps from one cell file, each built once, by index.
+def load_records(run_dir: str | Path) -> Iterator[CheckedRecord]:
+    """The checked records of a run that belong in their cell files, one cell file after another.
 
-    Only the kept records are built: a line that a later one for its index
-    replaces is checked, never decoded into a ``CallRecord``.
-    """
-    records = scan_cell_file(path, instances_per_cell)
-    return {index: _build_record(checked) for index, checked in records.items()}
-
-
-def load_records(run_dir: str | Path) -> Iterator[CallRecord]:
-    """The records of a run that belong in their cell files, one cell file after another.
-
-    Cell files are read in sorted order, by the rules of ``scan_cell_file``,
-    and the records of one file share one ``CellKey``.  The generator lets go
-    of each record as it hands it out, so it holds at most one cell's records;
-    a caller that keeps none holds no more.  Without a ``spec.json`` no index
+    Cell files are read in sorted order by ``scan_cell_file``, and the
+    records of one file share one ``CellKey``.  The generator lets go of each
+    record as it hands it out, so it holds at most one cell's records; a
+    caller that keeps none holds no more.  Without a ``spec.json`` no index
     is out of range.
     """
     run_dir = Path(run_dir)
@@ -566,7 +527,7 @@ def load_records(run_dir: str | Path) -> Iterator[CallRecord]:
     spec = load_spec(run_dir)
     instances_per_cell = spec.instances_per_cell if spec else sys.maxsize
     for path in sorted(records_dir(run_dir).glob("*.jsonl")):
-        records = load_cell_records(path, instances_per_cell)
+        records = scan_cell_file(path, instances_per_cell)
         for index in list(records):
             yield records.pop(index)
 

@@ -161,9 +161,9 @@ def run_experiment(
     interrupt cancels the calls not yet started, waits for those in flight,
     saves the record of every call that succeeded and is raised again.
 
-    A resume first reads each cell file with ``scan_cell_file``: a record
-    there passes the same ``check_record`` as a report's, but only its index
-    and whether its ``error`` is set are read, and no ``CallRecord`` is built.
+    A resume first reads each cell file with ``scan_cell_file``, as a report
+    does, and reads each checked record's index and outcome; it builds no
+    ``CallRecord``.
 
     Each instance and its oracle are built once and handed to every pending
     kind of its (task, length, index).  With one worker the calls run in the
@@ -189,7 +189,7 @@ def run_experiment(
         done = []
         for cell in group:
             records = scan_cell_file(cell_file(run_dir, cell), spec.instances_per_cell)
-            done.append({index for index, checked in records.items() if checked.data.get("error") is None})
+            done.append({index for index, checked in records.items() if checked.outcome is not None})
         for index in range(spec.instances_per_cell):
             todo = [cell for cell, indices in zip(group, done) if index not in indices]
             if todo:
@@ -344,25 +344,21 @@ class AccuracyTable:
         return text
 
 
-def _outcome(record: CallRecord) -> Verdict | None:
-    """What a record says about the model: its verdict, or None after a backend error."""
-    return record.verdict if record.error is None else None
-
-
 def aggregate(run_dir: str | Path, write: bool = True) -> AccuracyTable:
     """Count a run's records cell by cell and compute accuracy with Wilson bounds.
 
-    The records stream from ``load_records`` and each cell is counted as its
-    records go by, so a report holds one cell's records, not the run's.  A
-    record of a call that ended in a backend error says nothing about the
-    model, so it counts in ``n_error`` and not in ``n``.
+    The checked records stream from ``load_records`` and each cell's
+    outcomes are counted as its records go by, so a report holds one cell's
+    records, not the run's, and builds no ``CallRecord``.  A record of a call
+    that ended in a backend error says nothing about the model, so it counts
+    in ``n_error`` and not in ``n``.
     """
     run_dir = Path(run_dir)
     stats = []
     for cell, records in groupby(load_records(run_dir), key=attrgetter("cell")):
         # map lets go of each record once it is counted; a loop variable
         # would keep the cell's last record alive while the next file is read
-        counts = Counter(map(_outcome, records))
+        counts = Counter(map(attrgetter("outcome"), records))
         n_error = counts[None]
         stats.append(
             CellStats(

@@ -44,7 +44,7 @@ from cotbench.runner import (
 )
 from cotbench.tasks import ANSWER_KINDS, DEFAULT_LENGTHS, AnswerKind, InputRendering, MalformedInstance, TaskId
 
-from conftest import keyed_records
+from conftest import keyed_records, record_from_json
 
 ALL_KINDS = list(SupervisionKind)
 
@@ -88,6 +88,15 @@ def with_instance(**fields):
     return lambda instance: {**instance, **fields}
 
 
+def spelled(name: str, number: str):
+    """A change that sets a record's field to a number spelled as given, such as ``1e999``, and its error.
+
+    Kept, the record would replace the first one with a backend error.
+    """
+    placeholder = f'"{name}": 0.25'
+    return lambda first: altered(first, {name: 0.25, "error": "Timeout"}).replace(placeholder, f'"{name}": {number}')
+
+
 # Lines that hold no record, one case per rule of rundir.check_record and of
 # the line's JSON, as (id, task, line): a whole line, a function of the first
 # record line of the task's cell file, or the changes that turn that record
@@ -113,6 +122,11 @@ NOT_RECORDS = [
     ("answer-without-span", "pc", {"extraction": lambda raw: {k: v for k, v in raw.items() if k != "raw_span"}}),
     ("unknown-verdict", "pc", {"verdict": "maybe"}),
     ("index-no-number", "pc", {"index": "three"}),
+    *[
+        (f"{name}-{number.lower()}", "pc", spelled(name, number))
+        for name in ("index", "length")
+        for number in ("Infinity", "-Infinity", "1e999")
+    ],
     ("no-transcript", "pc", {"transcript": DROP}),
     ("no-prompt-hash", "pc", {"prompt_sha256": DROP}),
 ]
@@ -340,26 +354,33 @@ class TestPoolWindow:
 class TestStreaming:
     """A report reads one cell file at a time and lets its records go before the next."""
 
+    class Tracked(dict):
+        """A record's JSON object that, unlike a plain dict, takes a weak reference."""
+
     @pytest.fixture
     def tracked_run(self, tmp_path, monkeypatch):
-        """An eight-cell run, weak references to every record read from it
-        from then on, and how many of those were alive at each read."""
+        """An eight-cell run, weak references to the JSON object of every
+        record read from it from then on, and how many of those were alive
+        at each read of a cell file."""
         spec = small_spec(
             tasks=[TaskId.PARITY_CHECK, TaskId.EVEN_PAIRS],
             lengths={TaskId.PARITY_CHECK: [20], TaskId.EVEN_PAIRS: [10]},
         )
         run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
         refs, alive_at_read = [], []
-        load = rundir.load_cell_records
+        scan = rundir.scan_cell_file
 
-        def tracking_load(path, instances_per_cell):
+        def tracking_scan(path, instances_per_cell):
             gc.collect()
             alive_at_read.append(sum(ref() is not None for ref in refs))
-            records = load(path, instances_per_cell)
-            refs.extend(weakref.ref(record) for record in records.values())
+            records = scan(path, instances_per_cell)
+            for index, checked in records.items():
+                # the record holds the only reference to its object
+                records[index] = checked = checked._replace(data=self.Tracked(checked.data))
+                refs.append(weakref.ref(checked.data))
             return records
 
-        monkeypatch.setattr(rundir, "load_cell_records", tracking_load)
+        monkeypatch.setattr(rundir, "scan_cell_file", tracking_scan)
         return run_dir, refs, alive_at_read
 
     def test_load_records_reads_nothing_until_iterated(self, tracked_run):
@@ -583,7 +604,7 @@ class TestRunExperiment:
     def test_record_json_round_trip(self, tmp_path):
         run_dir = run_experiment(small_spec(instances_per_cell=2), OracleEchoBackend(), tmp_path / "r")
         for record in keyed_records(run_dir).values():
-            again = CallRecord.from_json(record.to_json())
+            again = record_from_json(record.to_json())
             assert again.to_json() == record.to_json()
 
 
@@ -841,12 +862,14 @@ class MixedOutcomeBackend(OracleEchoBackend):
         return Completion("Schritt für Schritt → " + echo.text) if slot == 3 else echo
 
 
+def four_task_spec() -> ExperimentSpec:
+    """A 32-cell, 160-call grid of four tasks with text, boolean and integer answers."""
+    tasks = [TaskId.PARITY_CHECK, TaskId.PALINDROME_VERIFICATION, TaskId.DUPLICATE_LIST, TaskId.EVEN_PAIRS]
+    return small_spec(tasks=tasks, lengths={task: [6, 8] for task in tasks}, instances_per_cell=5)
+
+
 class TestRecordLines:
     """A run writes each record's line from parts encoded once per cell and per instance."""
-
-    def spec(self):
-        tasks = [TaskId.PARITY_CHECK, TaskId.PALINDROME_VERIFICATION, TaskId.DUPLICATE_LIST, TaskId.EVEN_PAIRS]
-        return small_spec(tasks=tasks, lengths={task: [6, 8] for task in tasks}, instances_per_cell=5)
 
     @staticmethod
     def lines(run_dir) -> dict[str, list[str]]:
@@ -856,7 +879,7 @@ class TestRecordLines:
         }
 
     def test_lines_are_the_records_json_dumps(self, tmp_path):
-        spec = self.spec()
+        spec = four_task_spec()
         runs = {
             workers: self.lines(run_experiment(spec, MixedOutcomeBackend(), tmp_path / f"w{workers}", workers=workers))
             for workers in (1, 2)
@@ -867,7 +890,7 @@ class TestRecordLines:
             for lines in files.values():
                 assert len(lines) == spec.instances_per_cell
                 for line in lines:
-                    record = CallRecord.from_json(json.loads(line))
+                    record = record_from_json(json.loads(line))
                     assert line == json.dumps(record.to_json(), ensure_ascii=False)
                     outcomes[record.error or getattr(record.extraction, "reason", "ok")] += 1
         assert {"BackendError", FailureReason.NO_RESULT_FOUND, FailureReason.TYPE_MISMATCH, "ok"} <= set(outcomes)
@@ -884,8 +907,52 @@ class TestRecordLines:
         assert without_timing(runs[1]) == without_timing(runs[2])
 
 
+class TestCheckedRecords:
+    """A report, a comparison and a replay read checked records and build no ``CallRecord``."""
+
+    def test_report_compare_and_replay_build_no_call_record(self, tmp_path, monkeypatch):
+        mixed = run_experiment(four_task_spec(), MixedOutcomeBackend(), tmp_path / "mixed")
+        echo = run_experiment(four_task_spec(), OracleEchoBackend(), tmp_path / "echo")
+        built = []
+        init = CallRecord.__init__
+
+        def counting_init(record, *args, **kwargs):
+            built.append(record)
+            init(record, *args, **kwargs)
+
+        monkeypatch.setattr(CallRecord, "__init__", counting_init)
+        aggregate(mixed)
+        compare_runs(mixed, echo)
+        replay = ReplayBackend.from_run(mixed)
+        assert built == []
+        # the counter sees a record that is built
+        records = keyed_records(mixed)
+        assert len(built) == len(records) == 160
+        # the calls that ended in an error are not served
+        served = {r.prompt_sha256: r.transcript for r in records.values() if r.error is None}
+        assert replay.transcripts == served and len(served) < len({r.prompt_sha256 for r in records.values()})
+
+    def test_report_counts_what_the_built_records_say(self, tmp_path):
+        run_dir = run_experiment(four_task_spec(), MixedOutcomeBackend(), tmp_path / "run")
+        expected: dict[str, Counter] = {}
+        for (label, _), record in keyed_records(run_dir).items():
+            counts = expected.setdefault(label, Counter())
+            if record.error is not None:
+                counts["n_error"] += 1
+            else:
+                counts["n"] += 1
+                counts["n_correct"] += record.verdict is Verdict.CORRECT
+                counts["n_unparseable"] += record.verdict is Verdict.UNPARSEABLE
+        table = aggregate(run_dir, write=False)
+        names = ("n", "n_correct", "n_unparseable", "n_error")
+        got = {stats.cell.label: tuple(getattr(stats, name) for name in names) for stats in table.cells}
+        assert got == {label: tuple(counts[name] for name in names) for label, counts in expected.items()}
+        totals = [sum(column) for column in zip(*got.values())]
+        assert totals[0] == 160 - totals[3] and all(totals)
+
+
 class TestRecordCheck:
-    """``check_record`` holds every rule, and the resume scan and the full decode both apply it."""
+    """``check_record`` holds every rule, and the cell-file scan, ``load_records`` and a full decode apply it."""
 
     @pytest.fixture(scope="class")
     def first_lines(self, tmp_path_factory):
@@ -917,7 +984,8 @@ class TestRecordCheck:
             return True
 
         assert passes(rundir.check_record) is is_record
-        assert passes(CallRecord.from_json) is is_record
-        path = tmp_path / name
+        assert passes(record_from_json) is is_record
+        path = tmp_path / "records" / name
+        path.parent.mkdir()
         path.write_text(line + "\n")
-        assert len(rundir.scan_cell_file(path, 10)) == len(rundir.load_cell_records(path, 10)) == is_record
+        assert len(rundir.scan_cell_file(path, 10)) == len(list(rundir.load_records(tmp_path))) == is_record
