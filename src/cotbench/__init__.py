@@ -38,7 +38,7 @@ from cotbench.prompts import (
     get_template,
     render_prompt,
 )
-from cotbench.rundir import CallRecord, CellKey, CompletionConfig, ExperimentSpec
+from cotbench.rundir import CellKey, CompletionConfig, ExperimentSpec
 from cotbench.runner import AccuracyTable, aggregate, compare_runs, run_experiment, wilson_interval
 from cotbench.tasks import (
     DEFAULT_LENGTHS,
@@ -59,7 +59,6 @@ __all__ = [
     "AnswerKind",
     "AnswerSpaceCensus",
     "CallContext",
-    "CallRecord",
     "CandidateModel",
     "CellKey",
     "Completion",

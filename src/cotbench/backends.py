@@ -18,10 +18,8 @@ on the offline backends, never loads ``http.client`` or ``ssl``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import random
 import select
 import threading
 import time
@@ -33,8 +31,9 @@ from typing import NamedTuple
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from cotbench.extraction import format_result
+from cotbench.prompts import prompt_sha256
 from cotbench.rundir import CompletionConfig, is_run_dir, load_records, load_spec
-from cotbench.tasks import OracleAnswer, TaskInstance
+from cotbench.tasks import OracleAnswer, TaskInstance, rng_for
 
 API_KEY_ENV = "COTBENCH_API_KEY"
 BASE_URL_ENV = "COTBENCH_BASE_URL"
@@ -143,14 +142,10 @@ class CorruptingBackend(ModelBackend):
         self.p = p
         self.seed = seed
 
-    def _rng(self, prompt: str) -> random.Random:
-        digest = hashlib.sha256(f"{self.seed}|{prompt}".encode("utf-8")).digest()
-        return random.Random(int.from_bytes(digest[:8], "big"))
-
     def complete(self, prompt, cfg, context=None):
         if context is None:
             raise ProtocolError("corrupting backend needs a bound instance and oracle")
-        rng = self._rng(prompt)
+        rng = rng_for(f"{self.seed}|{prompt}")
         answer = context.oracle
         if rng.random() < self.p:
             if isinstance(answer.value, bool):
@@ -179,7 +174,7 @@ class ReplayBackend(ModelBackend):
     def from_run(run_dir: str | Path) -> "ReplayBackend":
         """The transcripts of a run directory's checked records, except calls that ended in an error.
 
-        Each is read from the record's JSON object; no ``CallRecord`` is built.
+        Each is read from the ``data`` of the record's ``CheckedRecord``.
         """
         spec = load_spec(Path(run_dir))
         if spec is None:
@@ -205,7 +200,7 @@ class ReplayBackend(ModelBackend):
         mismatch = self.decoding_mismatch(cfg)
         if mismatch:
             raise MissingRecording(mismatch)
-        key = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        key = prompt_sha256(prompt)
         try:
             return Completion(self.transcripts[key])
         except KeyError:

@@ -22,7 +22,7 @@ from cotbench.complexity import (
 )
 from cotbench.prompts import PromptError, SupervisionKind, get_template, render_prompt
 from cotbench.rundir import RunnerError, SpecError, is_run_dir, read_spec
-from cotbench.runner import aggregate, compare_runs, run_experiment, stderr_progress
+from cotbench.runner import aggregate, compare_runs, instance_seed_path, run_experiment, stderr_progress
 from cotbench.tasks import (
     DEFAULT_LENGTHS,
     InputRendering,
@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", type=_task, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="master seed: the instances a run with it draws at indices 0 .. count-1")
     p.add_argument("--rendering", type=_rendering, default=None,
                    help="also include the rendered input text in each record")
     p.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
@@ -103,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", type=_task, required=True)
     p.add_argument("--kind", type=_kind, required=True)
     p.add_argument("--length", type=int, default=None, help="default: the task's first grid length")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="master seed: the prompt a run with it issues at index 0")
     p.add_argument("--rendering", type=_rendering, default=InputRendering.LIST_FIED)
 
     return parser
@@ -114,7 +116,7 @@ def cmd_generate(args) -> int:
         lines = []
         for i in range(args.count):
             inst = generate_instance(
-                args.task, args.length, seed_path=f"{args.seed}/{args.task.value}/{args.length}/{i}"
+                args.task, args.length, seed_path=instance_seed_path(args.seed, args.task, args.length, i)
             )
             record = instance_record(inst)
             if args.rendering is not None:
@@ -247,7 +249,7 @@ def cmd_show_prompt(args) -> int:
     length = args.length if args.length is not None else DEFAULT_LENGTHS[args.task][0]
     try:
         inst = generate_instance(
-            args.task, length, seed_path=f"show/{args.seed}/{args.task.value}/{length}"
+            args.task, length, seed_path=instance_seed_path(args.seed, args.task, length, 0)
         )
     except UnsupportedLength as exc:
         print(f"usage error: {exc}", file=sys.stderr)

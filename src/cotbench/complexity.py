@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from cotbench.tasks import TaskId, TaskInstance, make_instance, oracle_solve
+from cotbench.tasks import (
+    TaskId,
+    TaskInstance,
+    UnsupportedLength,
+    check_length,
+    make_instance,
+    oracle_solve,
+)
 from cotbench.textgrid import format_grid
 
 
@@ -87,24 +94,22 @@ def reference_instance(task: TaskId, length: int) -> TaskInstance:
     """Deterministic instance used when a census is asked for by length only.
 
     Permutation-space tasks get distinct letters so the census lands on
-    the canonical 1/length! density.  InvalidParams for a length below 2,
-    which no generated instance has either.
+    the canonical 1/length! density.  InvalidParams for a length no
+    generated instance has either (``check_length``).
     """
-    if length < 2:
-        raise InvalidParams(f"length must be >= 2, got {length}")
+    try:
+        check_length(task, length)
+    except UnsupportedLength as exc:
+        raise InvalidParams(str(exc)) from exc
     letters = string.ascii_lowercase
     if task in (TaskId.REVERSE_LIST, TaskId.ODDS_FIRST, TaskId.SORTING_LIST):
         if length > len(letters):
             raise InvalidParams(f"distinct-letter instance caps at {len(letters)} symbols")
         return make_instance(task, list(letters[:length]))
     if task is TaskId.PALINDROME_VERIFICATION:
-        if length % 2:
-            raise InvalidParams("palindrome lengths are even")
         half = [letters[i % 26] for i in range(length // 2)]
         return make_instance(task, half + ["#"] + half[::-1])
     if task is TaskId.EQUAL_NUMBER:
-        if length % 2:
-            raise InvalidParams("balanced lists have even length")
         return make_instance(task, ["0"] * (length // 2) + ["1"] * (length // 2))
     if task is TaskId.CYCLE_NAVIGATION:
         return make_instance(task, ["1"] * length)

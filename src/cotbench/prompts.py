@@ -74,13 +74,18 @@ class PromptTemplate:
         object.__setattr__(self, "parts", tuple(PLACEHOLDER_RE.split(self.body)))
 
 
+def prompt_sha256(text: str) -> str:
+    """The hex sha256 of a prompt's UTF-8 text, under which a record stores the call and a replay finds it."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class RenderedPrompt:
     text: str
 
     @property
     def sha256(self) -> str:
-        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
+        return prompt_sha256(self.text)
 
 
 def _template_path(task: TaskId, kind: SupervisionKind) -> Path:
@@ -165,6 +170,7 @@ __all__ = [
     "all_templates",
     "get_template",
     "load_manifest",
+    "prompt_sha256",
     "render_prompt",
     "verify_manifest",
 ]

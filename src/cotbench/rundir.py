@@ -3,13 +3,14 @@
 A run is a directory: ``spec.json`` freezes the experiment definition,
 ``records/<cell>.jsonl`` collects one call record per line, and
 ``table.json`` / ``table.txt`` hold the aggregates.  Records are keyed by
-(cell, index) so interrupted runs resume without duplicating work.  One
-function, ``check_record``, decides whether a line holds a record, and a
-resume, a report and a replay all read a record's key, outcome and
-transcript from the ``CheckedRecord`` it returns; none builds a
-``CallRecord``, which only a run writes.  A report reads the records one
-cell file at a time, so it holds one cell's records whatever the size of
-the run.
+(cell, index) so interrupted runs resume without duplicating work.  The
+record format is written down twice, once per direction: a run writes each
+line through ``record_appender`` from the encoded instance part
+(``encode_shared``) and the call's ``record_tail``, and ``check_record``
+decides whether a line holds a record.  A resume, a report and a replay
+all read a record's key, outcome and transcript from the ``CheckedRecord``
+that check returns.  A report reads the records one cell file at a time,
+so it holds one cell's records whatever the size of the run.
 
 ``spec.json`` also records the version of the instance stream
 (``GENERATOR``), and a run directory written with another stream is not
@@ -23,6 +24,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from datetime import datetime, timezone
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -38,6 +40,8 @@ from cotbench.tasks import (
     OracleAnswer,
     TaskId,
     TaskInstance,
+    UnsupportedLength,
+    check_length,
     instance_fields,
 )
 
@@ -199,10 +203,10 @@ class ExperimentSpec:
             if len(set(lengths)) != len(lengths):
                 raise SpecError(f"duplicate lengths for task {task.value}")
             for length in lengths:
-                if length < 2:
-                    raise SpecError(f"{task.value} length {length} below minimum 2")
-                if task in (TaskId.PALINDROME_VERIFICATION, TaskId.EQUAL_NUMBER) and length % 2:
-                    raise SpecError(f"{task.value} requires even lengths, got {length}")
+                try:
+                    check_length(task, length)
+                except UnsupportedLength as exc:
+                    raise SpecError(f"lengths.{task.value}: {exc}") from exc
 
     def cells(self) -> list[CellKey]:
         return [
@@ -258,82 +262,49 @@ class ExperimentSpec:
         return ExperimentSpec(tasks, lengths, **given)
 
 
-def _shared_json(instance: TaskInstance, oracle: OracleAnswer) -> dict:
-    """The part of a record that every kind's record of one instance holds alike."""
-    return {
+def encode_shared(instance: TaskInstance, oracle: OracleAnswer) -> str:
+    """The encoded part of a record that every kind's record of one instance holds alike."""
+    return _ENCODER.encode({
         "instance": {
             "elements": list(instance.elements),
             "params": instance.params,
             "seed_path": instance.seed_path,
         },
         "oracle": oracle.to_json(),
+    })
+
+
+def record_tail(
+    prompt_sha256: str,
+    transcript: str,
+    extraction: ExtractedAnswer | ExtractionFailure,
+    verdict: Verdict,
+    error: str | None,
+    error_detail: str,
+    latency_s: float,
+    attempts: int,
+) -> dict:
+    """What one call produced, from the prompt's hash on, stamped with the time it is built."""
+    if isinstance(extraction, ExtractedAnswer):
+        raw = {
+            "ok": True,
+            "value": extraction.value,
+            "raw_span": extraction.raw_span,
+            "position": extraction.position,
+        }
+    else:
+        raw = {"ok": False, "reason": extraction.reason.value, "detail": extraction.detail}
+    return {
+        "prompt_sha256": prompt_sha256,
+        "transcript": transcript,
+        "extraction": raw,
+        "verdict": verdict.value,
+        "error": error,
+        "error_detail": error_detail,
+        "latency_s": latency_s,
+        "attempts": attempts,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-
-
-def encode_shared(instance: TaskInstance, oracle: OracleAnswer) -> str:
-    """The encoded shared part of the records of one instance, for ``record_appender``."""
-    return _ENCODER.encode(_shared_json(instance, oracle))
-
-
-@dataclass
-class CallRecord:
-    """Everything needed to audit or re-score one evaluation event, as a run writes it.
-
-    A record's JSON object is three parts in a row: the call head (the
-    cell's fields, then the index), the part shared by the kinds of one
-    instance (``_shared_json``) and the call tail (``tail_json``).  A run
-    encodes the three apart (``_record_line``), each only as often as it
-    changes.  A stored record is read back as a ``CheckedRecord``.
-    """
-
-    cell: CellKey
-    index: int
-    instance: TaskInstance
-    oracle: OracleAnswer
-    prompt_sha256: str
-    transcript: str
-    extraction: ExtractedAnswer | ExtractionFailure
-    verdict: Verdict
-    error: str | None
-    error_detail: str
-    latency_s: float
-    attempts: int
-    timestamp: str
-
-    def to_json(self) -> dict:
-        return {
-            **self.cell.to_json(),
-            "index": self.index,
-            **_shared_json(self.instance, self.oracle),
-            **self.tail_json(),
-        }
-
-    def tail_json(self) -> dict:
-        """What the call itself produced, from the prompt's hash on."""
-        if isinstance(self.extraction, ExtractedAnswer):
-            extraction = {
-                "ok": True,
-                "value": self.extraction.value,
-                "raw_span": self.extraction.raw_span,
-                "position": self.extraction.position,
-            }
-        else:
-            extraction = {
-                "ok": False,
-                "reason": self.extraction.reason.value,
-                "detail": self.extraction.detail,
-            }
-        return {
-            "prompt_sha256": self.prompt_sha256,
-            "transcript": self.transcript,
-            "extraction": extraction,
-            "verdict": self.verdict.value,
-            "error": self.error,
-            "error_detail": self.error_detail,
-            "latency_s": self.latency_s,
-            "attempts": self.attempts,
-            "timestamp": self.timestamp,
-        }
 
 
 class CheckedRecord(NamedTuple):
@@ -342,10 +313,6 @@ class CheckedRecord(NamedTuple):
     data: dict
     cell: CellKey
     index: int
-    # the instance's symbols, params and payload length, as instance_fields gives them
-    instance: tuple[tuple[str, ...], dict, int]
-    # why the extraction failed, or None if it found an answer
-    reason: FailureReason | None
     verdict: Verdict
 
     @property
@@ -392,34 +359,34 @@ def check_record(data) -> CheckedRecord:
     try:
         cell = CellKey.from_json(data)
         raw_instance = data["instance"]
-        instance = instance_fields(cell.task, raw_instance["elements"], raw_instance.get("params"))
+        instance_fields(cell.task, raw_instance["elements"], raw_instance.get("params"))
         OracleAnswer.check_json(cell.answer_kind, data["oracle"])
         raw = data["extraction"]
         if not isinstance(raw, dict):
             raise ValueError(f"extraction is a JSON object, not {type(raw).__name__}")
         if raw.get("ok"):
             _require(raw, ("raw_span", "value", "position"))
-            reason = None
         else:
-            reason = _member(_REASONS, raw["reason"], "failure reason")
+            _member(_REASONS, raw["reason"], "failure reason")
         index = int(data["index"])
         _require(data, ("prompt_sha256", "transcript"))
         verdict = _member(_VERDICTS, data["verdict"], "verdict")
-        return CheckedRecord(data, cell, index, instance, reason, verdict)
+        return CheckedRecord(data, cell, index, verdict)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed record: {exc}") from exc
 
 
-def _record_line(cell_json: str, record: CallRecord, shared_json: str) -> str:
-    """``json.dumps(record.to_json(), ensure_ascii=False)`` and a newline, from parts.
+def _record_line(cell_json: str, index: int, shared_json: str, tail: dict) -> str:
+    """One record's line, ``json.dumps`` of its object with ``ensure_ascii=False``, and a newline.
 
-    ``cell_json`` and ``shared_json`` are the encoded cell fields and shared
-    part, which are encoded once per cell and once per instance.
+    The object is three parts in a row: the cell's fields and the index,
+    the part shared by the kinds of one instance and the call's tail
+    (``record_tail``).  ``cell_json`` and ``shared_json`` are encoded once
+    per cell and once per instance.
     """
     # an index is an int, whose JSON is its repr; json.dumps separates
     # members with ", ", which joins the encoded objects' members too
-    tail = _ENCODER.encode(record.tail_json())
-    return f'{cell_json[:-1]}, "index": {record.index!r}, {shared_json[1:-1]}, {tail[1:]}\n'
+    return f'{cell_json[:-1]}, "index": {index!r}, {shared_json[1:-1]}, {_ENCODER.encode(tail)[1:]}\n'
 
 
 def records_dir(run_dir: Path) -> Path:
@@ -533,8 +500,8 @@ def load_records(run_dir: str | Path) -> Iterator[CheckedRecord]:
 
 
 @contextmanager
-def record_appender(run_dir: Path) -> Iterator[Callable[[CallRecord, str], None]]:
-    """A function that appends a record, given its encoded shared part, to its cell file.
+def record_appender(run_dir: Path) -> Iterator[Callable[[CellKey, int, str, dict], None]]:
+    """A function ``save(cell, index, shared_json, tail)`` that appends one record to its cell file.
 
     Each cell file is opened on its first record, and a torn final line
     that a crash left in it is ended first, so appended records stay
@@ -544,17 +511,17 @@ def record_appender(run_dir: Path) -> Iterator[Callable[[CallRecord, str], None]
     # by cell label: the cell file's append handle and the encoded cell fields
     files: dict[str, tuple] = {}
 
-    def save(record: CallRecord, shared_json: str) -> None:
-        entry = files.get(record.cell.label)
+    def save(cell: CellKey, index: int, shared_json: str, tail: dict) -> None:
+        entry = files.get(cell.label)
         if entry is None:
-            path = cell_file(run_dir, record.cell)
+            path = cell_file(run_dir, cell)
             needs_newline = path.exists() and path.stat().st_size > 0 and not path.read_bytes().endswith(b"\n")
             handle = open(path, "a", encoding="utf-8")
             if needs_newline:
                 handle.write("\n")
-            entry = files[record.cell.label] = (handle, _ENCODER.encode(record.cell.to_json()))
+            entry = files[cell.label] = (handle, _ENCODER.encode(cell.to_json()))
         handle, cell_json = entry
-        handle.write(_record_line(cell_json, record, shared_json))
+        handle.write(_record_line(cell_json, index, shared_json, tail))
         # a killed run keeps every record saved so far
         handle.flush()
 

@@ -18,7 +18,6 @@ import warnings
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from itertools import groupby, islice
 from operator import attrgetter
 from pathlib import Path
@@ -28,7 +27,6 @@ from cotbench.backends import AuthError, BackendError, CallContext, ModelBackend
 from cotbench.extraction import ExtractionFailure, FailureReason, Verdict, extract_result, score
 from cotbench.prompts import SupervisionKind, get_template, render_prompt
 from cotbench.rundir import (
-    CallRecord,
     CellKey,
     ExperimentSpec,
     RunnerError,
@@ -39,6 +37,7 @@ from cotbench.rundir import (
     load_records,
     load_spec,
     record_appender,
+    record_tail,
     scan_cell_file,
     write_table,
 )
@@ -77,11 +76,11 @@ def instance_seed_path(master_seed: int, task: TaskId, length: int, index: int) 
 # The pending calls of one instance: (task, length, index, the cells still to call).
 PendingGroup = tuple[TaskId, int, int, list[CellKey]]
 
-# One call to make: (cell, index, instance, oracle), the arguments of _execute_call.
-PendingCall = tuple[CellKey, int, TaskInstance, OracleAnswer]
+# One call to make: (cell, index, instance, oracle, the record's encoded shared part).
+PendingCall = tuple[CellKey, int, TaskInstance, OracleAnswer, str]
 
 
-def _paired_calls(master_seed: int, pending: list[PendingGroup]) -> Iterator[tuple[PendingCall, str]]:
+def _paired_calls(master_seed: int, pending: list[PendingGroup]) -> Iterator[PendingCall]:
     """Each pending call with its record's encoded shared part.
 
     The instance, its oracle and that encoding are built once per group,
@@ -94,17 +93,17 @@ def _paired_calls(master_seed: int, pending: list[PendingGroup]) -> Iterator[tup
         oracle = oracle_solve(task, instance)
         shared_json = encode_shared(instance, oracle)
         for cell in cells:
-            yield (cell, index, instance, oracle), shared_json
+            yield cell, index, instance, oracle, shared_json
 
 
 def _execute_call(
     spec: ExperimentSpec,
     backend: ModelBackend,
     cell: CellKey,
-    index: int,
     instance: TaskInstance,
     oracle: OracleAnswer,
-) -> CallRecord:
+) -> dict:
+    """Make one call and score it; the record tail of what it produced."""
     prompt = render_prompt(get_template(cell.task, cell.kind), instance, cell.rendering)
 
     start = time.monotonic()
@@ -128,21 +127,7 @@ def _execute_call(
     else:
         extraction = ExtractionFailure(FailureReason.NO_RESULT_FOUND, f"backend error: {error}")
     verdict = score(extraction, oracle)
-    return CallRecord(
-        cell=cell,
-        index=index,
-        instance=instance,
-        oracle=oracle,
-        prompt_sha256=prompt.sha256,
-        transcript=transcript,
-        extraction=extraction,
-        verdict=verdict,
-        error=error,
-        error_detail=error_detail,
-        latency_s=latency,
-        attempts=attempts,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
+    return record_tail(prompt.sha256, transcript, extraction, verdict, error, error_detail, latency, attempts)
 
 
 def run_experiment(
@@ -162,8 +147,9 @@ def run_experiment(
     saves the record of every call that succeeded and is raised again.
 
     A resume first reads each cell file with ``scan_cell_file``, as a report
-    does, and reads each checked record's index and outcome; it builds no
-    ``CallRecord``.
+    does, and reads each checked record's index and outcome.  Each call's
+    record is written from its cell, index, encoded instance part and
+    ``record_tail``.
 
     Each instance and its oracle are built once and handed to every pending
     kind of its (task, length, index).  With one worker the calls run in the
@@ -209,8 +195,8 @@ def run_experiment(
             # calls one after another need no pool: handing each call and its
             # record between two threads only adds work whose cost depends on
             # how the host schedules them
-            for call, shared_json in calls:
-                save(_execute_call(spec, backend, *call), shared_json)
+            for cell, index, instance, oracle, shared_json in calls:
+                save(cell, index, shared_json, _execute_call(spec, backend, cell, instance, oracle))
                 completed += 1
                 if progress:
                     progress(completed, total)
@@ -221,13 +207,15 @@ def run_experiment(
                     while True:
                         # the calling thread builds each instance as a place in the
                         # window frees up, so no more than the window is ever queued
-                        for call, shared_json in islice(calls, WINDOW_PER_WORKER * workers - len(unsaved)):
-                            unsaved[pool.submit(_execute_call, spec, backend, *call)] = shared_json
+                        window = WINDOW_PER_WORKER * workers - len(unsaved)
+                        for cell, index, instance, oracle, shared_json in islice(calls, window):
+                            future = pool.submit(_execute_call, spec, backend, cell, instance, oracle)
+                            unsaved[future] = (cell, index, shared_json)
                         if not unsaved:
                             break
                         done, _ = wait(unsaved, return_when=FIRST_COMPLETED)
                         for future in done:
-                            save(future.result(), unsaved.pop(future))
+                            save(*unsaved.pop(future), future.result())
                             completed += 1
                             if progress:
                                 progress(completed, total)
@@ -236,9 +224,9 @@ def run_experiment(
                     pool.shutdown(cancel_futures=True)
                     # save what succeeded: a done set comes in no set order, and
                     # the calls in flight have finished during the shutdown
-                    for future, shared_json in list(unsaved.items()):
+                    for future, (cell, index, shared_json) in list(unsaved.items()):
                         if not future.cancelled() and future.exception() is None:
-                            save(future.result(), shared_json)
+                            save(cell, index, shared_json, future.result())
                     raise
     return run_dir
 
@@ -349,9 +337,9 @@ def aggregate(run_dir: str | Path, write: bool = True) -> AccuracyTable:
 
     The checked records stream from ``load_records`` and each cell's
     outcomes are counted as its records go by, so a report holds one cell's
-    records, not the run's, and builds no ``CallRecord``.  A record of a call
-    that ended in a backend error says nothing about the model, so it counts
-    in ``n_error`` and not in ``n``.
+    records, not the run's.  A record of a call that ended in a backend
+    error says nothing about the model, so it counts in ``n_error`` and not
+    in ``n``.
     """
     run_dir = Path(run_dir)
     stats = []

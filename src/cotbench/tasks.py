@@ -271,6 +271,18 @@ def rng_for(seed_path: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def check_length(task: TaskId, length: int) -> None:
+    """UnsupportedLength unless ``task`` has instances of payload length ``length``.
+
+    Every task needs at least 2 symbols, and palindrome verification and
+    equal number an even count.
+    """
+    if length < 2:
+        raise UnsupportedLength(f"length must be >= 2, got {length}")
+    if task in (TaskId.PALINDROME_VERIFICATION, TaskId.EQUAL_NUMBER) and length % 2 != 0:
+        raise UnsupportedLength(f"{task.value} requires an even length, got {length}")
+
+
 def generate_instance(
     task: TaskId,
     length: int,
@@ -292,10 +304,7 @@ def generate_instance(
         if not seed_path:
             raise ValueError("pass an rng or a seed_path")
         rng = rng_for(seed_path)
-    if length < 2:
-        raise UnsupportedLength(f"length must be >= 2, got {length}")
-    if task in (TaskId.PALINDROME_VERIFICATION, TaskId.EQUAL_NUMBER) and length % 2 != 0:
-        raise UnsupportedLength(f"{task.value} requires an even length, got {length}")
+    check_length(task, length)
 
     if task is TaskId.PARITY_CHECK:
         elements = rng.choices(ALPHABETS[task], k=length)

@@ -4,9 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cotbench.extraction import ExtractedAnswer, ExtractionFailure
-from cotbench.rundir import CallRecord, CheckedRecord, check_record, load_records
-from cotbench.tasks import OracleAnswer, TaskInstance
+from cotbench.rundir import CheckedRecord, load_records
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -36,38 +34,6 @@ def case_transcripts():
     return {name: load_case(name) for name, *_ in CASE_STUDIES}
 
 
-def build_record(checked: CheckedRecord) -> CallRecord:
-    """The record a checked JSON object holds, built whole; nothing is checked again."""
-    data, cell, index, (elements, params, length), reason, verdict = checked
-    kind = cell.answer_kind
-    raw = data["extraction"]
-    extraction: ExtractedAnswer | ExtractionFailure
-    if reason is None:
-        extraction = ExtractedAnswer(raw["raw_span"], raw["value"], kind, raw["position"])
-    else:
-        extraction = ExtractionFailure(reason, raw.get("detail", ""))
-    return CallRecord(
-        cell=cell,
-        index=index,
-        instance=TaskInstance(cell.task, elements, params, length, data["instance"].get("seed_path", "")),
-        oracle=OracleAnswer(kind, data["oracle"]),
-        prompt_sha256=data["prompt_sha256"],
-        transcript=data["transcript"],
-        extraction=extraction,
-        verdict=verdict,
-        error=data.get("error"),
-        error_detail=data.get("error_detail", ""),
-        latency_s=data.get("latency_s", 0.0),
-        attempts=data.get("attempts", 1),
-        timestamp=data.get("timestamp", ""),
-    )
-
-
-def record_from_json(data) -> CallRecord:
-    """Decode one record line's JSON whole; ValueError, KeyError or MalformedInstance if it holds none."""
-    return build_record(check_record(data))
-
-
-def keyed_records(run_dir) -> dict[tuple[str, int], CallRecord]:
-    """A run's records, built whole and keyed by (cell label, index), for tests that look records up."""
-    return {(checked.cell.label, checked.index): build_record(checked) for checked in load_records(run_dir)}
+def keyed_records(run_dir) -> dict[tuple[str, int], CheckedRecord]:
+    """A run's checked records keyed by (cell label, index), for tests that look records up."""
+    return {(checked.cell.label, checked.index): checked for checked in load_records(run_dir)}

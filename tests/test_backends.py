@@ -531,13 +531,13 @@ def test_record_then_replay_reproduces_tables(tmp_path):
         server.server_close()
 
     live_records = keyed_records(live_dir)
-    assert all(r.error is None for r in live_records.values())
+    assert all(r.data["error"] is None for r in live_records.values())
 
     replay_dir = run_experiment(spec, ReplayBackend.from_run(live_dir), tmp_path / "replay")
     replay_records = keyed_records(replay_dir)
-    assert all(r.error is None for r in replay_records.values())
+    assert all(r.data["error"] is None for r in replay_records.values())
     for key, record in live_records.items():
-        assert replay_records[key].transcript == record.transcript
+        assert replay_records[key].data["transcript"] == record.data["transcript"]
         assert replay_records[key].verdict is record.verdict
     table_live = aggregate(live_dir, write=False)
     table_replay = aggregate(replay_dir, write=False)
@@ -594,7 +594,7 @@ def test_replay_answers_only_the_recorded_decoding(tmp_path):
 
     other_model = replace(spec, completion=CompletionConfig(model="other"))
     other_dir = run_experiment(other_model, replay, tmp_path / "other-model")
-    assert {r.error for r in keyed_records(other_dir).values()} == {"MissingRecording"}
+    assert {r.data["error"] for r in keyed_records(other_dir).values()} == {"MissingRecording"}
     assert all(c.n == 0 and c.n_error == 2 for c in aggregate(other_dir, write=False).cells)
 
     slower = replace(spec, completion=CompletionConfig(model="stub", timeout_s=1.0, max_attempts=1))
@@ -616,16 +616,16 @@ def test_replay_does_not_serve_a_call_that_ended_in_an_error(tmp_path):
 
     spec = small_live_spec({"kind": "echo"})
     source = run_experiment(spec, FirstCallFails(), tmp_path / "source", workers=1)
-    failed = [r for r in keyed_records(source).values() if r.error is not None]
-    assert len(failed) == 1 and failed[0].transcript == ""
+    failed = [r for r in keyed_records(source).values() if r.data["error"] is not None]
+    assert len(failed) == 1 and failed[0].data["transcript"] == ""
 
     replay = ReplayBackend.from_run(source)
     assert len(replay.transcripts) == 7
-    assert failed[0].prompt_sha256 not in replay.transcripts
+    assert failed[0].data["prompt_sha256"] not in replay.transcripts
     replay_dir = run_experiment(spec, replay, tmp_path / "replay")
     replayed = keyed_records(replay_dir)
     key = (failed[0].cell.label, failed[0].index)
-    assert replayed[key].error == "MissingRecording"
+    assert replayed[key].data["error"] == "MissingRecording"
     assert aggregate(replay_dir, write=False).to_json() == aggregate(source, write=False).to_json()
 
 

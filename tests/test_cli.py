@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 
@@ -83,6 +84,60 @@ class TestShowPrompt:
                 code, out, _ = run_cli(capsys, "show-prompt", "--task", task, "--kind", kind)
                 assert code == 0
                 assert "{{" not in out
+
+
+class TestCommandsDrawTheRunsInstances:
+    """``generate --seed S`` and ``show-prompt --seed S`` give what a run with master seed S draws."""
+
+    SEED = 5
+    COUNT = 4
+    LENGTHS = {"pc": 20, "pv": 8, "en": 6}
+
+    @pytest.fixture
+    def records(self, tmp_path, capsys):
+        """The run's records, by cell label and index."""
+        spec = {
+            "tasks": list(self.LENGTHS),
+            "lengths": {task: [length] for task, length in self.LENGTHS.items()},
+            "instances_per_cell": self.COUNT,
+            "master_seed": self.SEED,
+        }
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        run_dir = tmp_path / "run"
+        code, _, _ = run_cli(capsys, "run", "--spec", str(tmp_path / "spec.json"), "--out", str(run_dir))
+        assert code == 0
+        out = {}
+        for path in (run_dir / "records").glob("*.jsonl"):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                data = json.loads(line)
+                out[(path.name.removesuffix(".jsonl"), data["index"])] = data
+        return out
+
+    @pytest.mark.parametrize("task", list(LENGTHS))
+    def test_generate_writes_the_runs_instances(self, capsys, records, task):
+        length = self.LENGTHS[task]
+        code, out, _ = run_cli(
+            capsys, "generate", "--task", task, "--length", str(length),
+            "--count", str(self.COUNT), "--seed", str(self.SEED),
+        )
+        assert code == 0
+        generated = [json.loads(line) for line in out.splitlines()]
+        assert len(generated) == self.COUNT
+        for index, instance in enumerate(generated):
+            stored = records[(f"{task}.{length}.base.list", index)]["instance"]
+            assert (instance["elements"], instance["params"]) == (stored["elements"], stored["params"])
+
+    @pytest.mark.parametrize("kind", ["base", "cot", "scot", "scot-sub"])
+    @pytest.mark.parametrize("task", list(LENGTHS))
+    def test_show_prompt_prints_the_prompt_of_index_0(self, capsys, records, task, kind):
+        length = self.LENGTHS[task]
+        code, out, _ = run_cli(
+            capsys, "show-prompt", "--task", task, "--kind", kind,
+            "--length", str(length), "--seed", str(self.SEED),
+        )
+        assert code == 0 and out.endswith("\n")
+        digest = hashlib.sha256(out[:-1].encode("utf-8")).hexdigest()
+        assert digest == records[(f"{task}.{length}.{kind}.list", 0)]["prompt_sha256"]
 
 
 class TestRunReportCompare:

@@ -29,7 +29,6 @@ from cotbench.extraction import FailureReason, Verdict, extract_result, score
 from cotbench.prompts import SupervisionKind
 from cotbench.runner import (
     AccuracyTable,
-    CallRecord,
     CellKey,
     EmptyCellWarning,
     ExperimentSpec,
@@ -42,9 +41,17 @@ from cotbench.runner import (
     two_proportion_z,
     wilson_interval,
 )
-from cotbench.tasks import ANSWER_KINDS, DEFAULT_LENGTHS, AnswerKind, InputRendering, MalformedInstance, TaskId
+from cotbench.tasks import (
+    ANSWER_KINDS,
+    DEFAULT_LENGTHS,
+    AnswerKind,
+    InputRendering,
+    MalformedInstance,
+    OracleAnswer,
+    TaskId,
+)
 
-from conftest import keyed_records, record_from_json
+from conftest import keyed_records
 
 ALL_KINDS = list(SupervisionKind)
 
@@ -269,7 +276,7 @@ class TestAbort:
         assert backend.calls <= 10 + self.WORKERS
         records = keyed_records(run_dir)
         assert len(records) == backend.calls - 1
-        assert all(r.error is None and r.verdict is Verdict.CORRECT for r in records.values())
+        assert all(r.outcome is Verdict.CORRECT for r in records.values())
         self.assert_resumes_to_clean_table(spec, run_dir, tmp_path)
 
     def test_interrupt_cancels_queued_calls(self, tmp_path):
@@ -419,8 +426,8 @@ class TestRunExperiment:
         spec = small_spec()
         dir_a = run_experiment(spec, OracleEchoBackend(), tmp_path / "a")
         dir_b = run_experiment(spec, OracleEchoBackend(), tmp_path / "b")
-        instances_a = {k: v.instance for k, v in keyed_records(dir_a).items()}
-        instances_b = {k: v.instance for k, v in keyed_records(dir_b).items()}
+        instances_a = {k: v.data["instance"] for k, v in keyed_records(dir_a).items()}
+        instances_b = {k: v.data["instance"] for k, v in keyed_records(dir_b).items()}
         assert instances_a == instances_b
 
     def test_resume_fills_missing_records(self, tmp_path):
@@ -479,7 +486,7 @@ class TestRunExperiment:
     def test_resume_reissues_errored_calls(self, tmp_path):
         spec = small_spec(kinds=[SupervisionKind.BASE], instances_per_cell=20)
         run_dir = run_experiment(spec, FlakyBackend(failures=5), tmp_path / "run")
-        assert sum(r.error is not None for r in keyed_records(run_dir).values()) == 5
+        assert sum(r.data["error"] is not None for r in keyed_records(run_dir).values()) == 5
 
         healthy = FlakyBackend(failures=0)
         run_experiment(spec, healthy, run_dir)
@@ -487,7 +494,7 @@ class TestRunExperiment:
         (cell,) = aggregate(run_dir, write=False).cells
         assert (cell.n, cell.n_correct) == (20, 20)
         records = keyed_records(run_dir)
-        assert len(records) == 20 and all(r.error is None for r in records.values())
+        assert len(records) == 20 and all(r.data["error"] is None for r in records.values())
 
         # a resume with every record done issues nothing
         again = FlakyBackend(failures=0)
@@ -590,22 +597,17 @@ class TestRunExperiment:
         records = keyed_records(run_dir)
         assert len(records) == 8
         for record in records.values():
-            assert record.error == "BackendError"
+            assert record.data["error"] == "BackendError"
             assert record.verdict is Verdict.UNPARSEABLE
-            assert record.attempts == 3
+            assert record.data["attempts"] == 3
 
     def test_rescoring_stored_records_is_stable(self, tmp_path):
         spec = small_spec(instances_per_cell=5)
         run_dir = run_experiment(spec, CorruptingBackend(p=0.5, seed=2), tmp_path / "run")
         for record in keyed_records(run_dir).values():
-            extracted = extract_result(record.transcript, ANSWER_KINDS[record.cell.task])
-            assert score(extracted, record.oracle) is record.verdict
-
-    def test_record_json_round_trip(self, tmp_path):
-        run_dir = run_experiment(small_spec(instances_per_cell=2), OracleEchoBackend(), tmp_path / "r")
-        for record in keyed_records(run_dir).values():
-            again = record_from_json(record.to_json())
-            assert again.to_json() == record.to_json()
+            kind = ANSWER_KINDS[record.cell.task]
+            extracted = extract_result(record.data["transcript"], kind)
+            assert score(extracted, OracleAnswer(kind, record.data["oracle"])) is record.verdict
 
 
 class TestWilson:
@@ -672,7 +674,7 @@ class TestAggregate:
         assert (stored["n"], stored["n_error"]) == (15, 5)
         assert "5 calls ended in a backend error" in (run_dir / "table.txt").read_text()
         # the records on disk keep their verdict
-        errored = [r for r in keyed_records(run_dir).values() if r.error is not None]
+        errored = [r for r in keyed_records(run_dir).values() if r.data["error"] is not None]
         assert len(errored) == 5 and all(r.verdict is Verdict.UNPARSEABLE for r in errored)
 
         run_experiment(spec, FlakyBackend(failures=0), run_dir)
@@ -768,7 +770,7 @@ class TestPairedInstances:
         """(task, length, index) -> {kind: (instance json, oracle json)}."""
         out: dict[tuple, dict] = {}
         for (_, index), record in keyed_records(run_dir).items():
-            data = record.to_json()
+            data = record.data
             key = (record.cell.task, record.cell.length, index)
             out.setdefault(key, {})[record.cell.kind] = (data["instance"], data["oracle"])
         return out
@@ -868,6 +870,17 @@ def four_task_spec() -> ExperimentSpec:
     return small_spec(tasks=tasks, lengths={task: [6, 8] for task in tasks}, instances_per_cell=5)
 
 
+# A record line's keys in order: the cell's fields, the index, the part every
+# kind of an instance shares, then the call's record_tail.
+RECORD_KEYS = [
+    "task", "length", "kind", "rendering", "index", "instance", "oracle",
+    "prompt_sha256", "transcript", "extraction", "verdict", "error", "error_detail",
+    "latency_s", "attempts", "timestamp",
+]
+ANSWER_KEYS = ["ok", "value", "raw_span", "position"]
+FAILURE_KEYS = ["ok", "reason", "detail"]
+
+
 class TestRecordLines:
     """A run writes each record's line from parts encoded once per cell and per instance."""
 
@@ -890,10 +903,15 @@ class TestRecordLines:
             for lines in files.values():
                 assert len(lines) == spec.instances_per_cell
                 for line in lines:
-                    record = record_from_json(json.loads(line))
-                    assert line == json.dumps(record.to_json(), ensure_ascii=False)
-                    outcomes[record.error or getattr(record.extraction, "reason", "ok")] += 1
-        assert {"BackendError", FailureReason.NO_RESULT_FOUND, FailureReason.TYPE_MISMATCH, "ok"} <= set(outcomes)
+                    data = json.loads(line)
+                    assert line == json.dumps(data, ensure_ascii=False)
+                    assert list(data) == RECORD_KEYS
+                    assert list(data["instance"]) == ["elements", "params", "seed_path"]
+                    assert list(data["extraction"]) in (ANSWER_KEYS, FAILURE_KEYS)
+                    rundir.check_record(data)
+                    outcomes[data["error"] or data["extraction"].get("reason", "ok")] += 1
+        reasons = [reason.value for reason in (FailureReason.NO_RESULT_FOUND, FailureReason.TYPE_MISMATCH)]
+        assert {"BackendError", *reasons, "ok"} <= set(outcomes)
 
         def without_timing(files):
             out = {}
@@ -908,36 +926,23 @@ class TestRecordLines:
 
 
 class TestCheckedRecords:
-    """A report, a comparison and a replay read checked records and build no ``CallRecord``."""
+    """A report and a replay read what the checked records of a run say."""
 
-    def test_report_compare_and_replay_build_no_call_record(self, tmp_path, monkeypatch):
-        mixed = run_experiment(four_task_spec(), MixedOutcomeBackend(), tmp_path / "mixed")
-        echo = run_experiment(four_task_spec(), OracleEchoBackend(), tmp_path / "echo")
-        built = []
-        init = CallRecord.__init__
+    def test_replay_serves_the_transcripts_of_calls_without_an_error(self, tmp_path):
+        run_dir = run_experiment(four_task_spec(), MixedOutcomeBackend(), tmp_path / "mixed")
+        records = keyed_records(run_dir)
+        assert len(records) == 160
+        data = [r.data for r in records.values()]
+        served = {d["prompt_sha256"]: d["transcript"] for d in data if d["error"] is None}
+        assert ReplayBackend.from_run(run_dir).transcripts == served
+        assert len(served) < len({d["prompt_sha256"] for d in data})
 
-        def counting_init(record, *args, **kwargs):
-            built.append(record)
-            init(record, *args, **kwargs)
-
-        monkeypatch.setattr(CallRecord, "__init__", counting_init)
-        aggregate(mixed)
-        compare_runs(mixed, echo)
-        replay = ReplayBackend.from_run(mixed)
-        assert built == []
-        # the counter sees a record that is built
-        records = keyed_records(mixed)
-        assert len(built) == len(records) == 160
-        # the calls that ended in an error are not served
-        served = {r.prompt_sha256: r.transcript for r in records.values() if r.error is None}
-        assert replay.transcripts == served and len(served) < len({r.prompt_sha256 for r in records.values()})
-
-    def test_report_counts_what_the_built_records_say(self, tmp_path):
+    def test_report_counts_what_the_records_say(self, tmp_path):
         run_dir = run_experiment(four_task_spec(), MixedOutcomeBackend(), tmp_path / "run")
         expected: dict[str, Counter] = {}
         for (label, _), record in keyed_records(run_dir).items():
             counts = expected.setdefault(label, Counter())
-            if record.error is not None:
+            if record.data["error"] is not None:
                 counts["n_error"] += 1
             else:
                 counts["n"] += 1
@@ -952,7 +957,7 @@ class TestCheckedRecords:
 
 
 class TestRecordCheck:
-    """``check_record`` holds every rule, and the cell-file scan, ``load_records`` and a full decode apply it."""
+    """``check_record`` holds every rule, and the cell-file scan and ``load_records`` apply it."""
 
     @pytest.fixture(scope="class")
     def first_lines(self, tmp_path_factory):
@@ -968,23 +973,18 @@ class TestRecordCheck:
     )
 
     @pytest.mark.parametrize("task,line,is_record", CASES)
-    def test_check_scan_and_full_decode_keep_and_skip_alike(self, tmp_path, first_lines, task, line, is_record):
+    def test_check_scan_and_load_keep_and_skip_alike(self, tmp_path, first_lines, task, line, is_record):
         name, first = first_lines[task]
         if isinstance(line, dict):
             line = altered(first, line)
         elif callable(line):
             line = line(first)
-        errors = (ValueError, KeyError, MalformedInstance)
-
-        def passes(decode) -> bool:
-            try:
-                decode(json.loads(line))
-            except errors:
-                return False
-            return True
-
-        assert passes(rundir.check_record) is is_record
-        assert passes(record_from_json) is is_record
+        try:
+            rundir.check_record(json.loads(line))
+            passes = True
+        except (ValueError, KeyError, MalformedInstance):
+            passes = False
+        assert passes is is_record
         path = tmp_path / "records" / name
         path.parent.mkdir()
         path.write_text(line + "\n")
