@@ -44,7 +44,6 @@ from cotbench.tasks import (
     DEFAULT_LENGTHS,
     AnswerKind,
     InputRendering,
-    OracleAnswer,
     TaskId,
     TaskInstance,
     brute_force_oracle,
@@ -71,7 +70,6 @@ __all__ = [
     "InputRendering",
     "LiveBackend",
     "ModelBackend",
-    "OracleAnswer",
     "OracleEchoBackend",
     "PromptSpaceParams",
     "PromptTemplate",

@@ -33,7 +33,7 @@ from urllib.parse import SplitResult, unquote, urlsplit
 from cotbench.extraction import format_result
 from cotbench.prompts import prompt_sha256
 from cotbench.rundir import CompletionConfig, is_run_dir, load_records, load_spec
-from cotbench.tasks import OracleAnswer, TaskInstance, rng_for
+from cotbench.tasks import Answer, TaskInstance, rng_for
 
 API_KEY_ENV = "COTBENCH_API_KEY"
 BASE_URL_ENV = "COTBENCH_BASE_URL"
@@ -70,10 +70,13 @@ class MissingRecording(BackendError):
 
 @dataclass(frozen=True)
 class CallContext:
-    """Per-call binding handed to backends that answer from ground truth."""
+    """Per-call binding handed to backends that answer from ground truth.
+
+    ``oracle`` is the instance's answer as the value a record stores.
+    """
 
     instance: TaskInstance
-    oracle: OracleAnswer
+    oracle: Answer
 
 
 class Completion(NamedTuple):
@@ -97,7 +100,7 @@ class ModelBackend:
         raise NotImplementedError
 
 
-def _echo_transcript(oracle: OracleAnswer) -> str:
+def _echo_transcript(oracle: Answer) -> str:
     return (
         "Working through the instructions on the given input.\n"
         "The final output is:\n" + format_result(oracle)
@@ -148,12 +151,12 @@ class CorruptingBackend(ModelBackend):
         rng = rng_for(f"{self.seed}|{prompt}")
         answer = context.oracle
         if rng.random() < self.p:
-            if isinstance(answer.value, bool):
-                answer = OracleAnswer.of_bool(not answer.value)
-            elif isinstance(answer.value, int):
-                answer = OracleAnswer.of_int(answer.value + rng.choice((-1, 1)))
+            if isinstance(answer, bool):
+                answer = not answer
+            elif isinstance(answer, int):
+                answer += rng.choice((-1, 1))
             else:
-                answer = OracleAnswer.of_text(_transpose(answer.value))
+                answer = _transpose(answer)
         return Completion(_echo_transcript(answer))
 
 

@@ -112,6 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        print(f"usage error: --count must be positive, got {args.count}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         lines = []
         for i in range(args.count):

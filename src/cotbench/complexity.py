@@ -102,7 +102,7 @@ def reference_instance(task: TaskId, length: int) -> TaskInstance:
     except UnsupportedLength as exc:
         raise InvalidParams(str(exc)) from exc
     letters = string.ascii_lowercase
-    if task in (TaskId.REVERSE_LIST, TaskId.ODDS_FIRST, TaskId.SORTING_LIST):
+    if DEFAULT_CANDIDATE_MODELS[task] is CandidateModel.PERMUTATIONS:
         if length > len(letters):
             raise InvalidParams(f"distinct-letter instance caps at {len(letters)} symbols")
         return make_instance(task, list(letters[:length]))
@@ -134,7 +134,7 @@ def answer_space_census(
         instance = reference_instance(task, length)
     if model is None:
         model = DEFAULT_CANDIDATE_MODELS[task]
-    target = oracle_solve(task, instance).value
+    target = oracle_solve(task, instance)
 
     if model is CandidateModel.BOOLEAN:
         total, correct = 2, int(type(target) is bool)

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from cotbench.tasks import AnswerKind, OracleAnswer
+from cotbench.tasks import Answer, AnswerKind
 
 # A result dictionary: key 'Result' in single/double/no quotes, value one of
 # a bool literal, an optionally signed integer, or a quoted string.  A quoted
@@ -44,11 +44,10 @@ class FailureReason(Enum):
 
 @dataclass(frozen=True)
 class ExtractedAnswer:
-    """A typed answer found in a transcript."""
+    """An answer found in a transcript; its value has the type of the kind it was extracted as."""
 
     raw_span: str
-    value: bool | int | str
-    kind: AnswerKind
+    value: Answer
     position: int
 
 
@@ -58,7 +57,7 @@ class ExtractionFailure:
     detail: str = ""
 
 
-def _coerce(raw: str, kind: AnswerKind) -> bool | int | str | None:
+def _coerce(raw: str, kind: AnswerKind) -> Answer | None:
     """Parse a matched value literal as the expected kind, or None."""
     if kind is AnswerKind.BOOL:
         if raw in ("True", "true"):
@@ -94,25 +93,27 @@ def extract_result(transcript: str, kind: AnswerKind) -> ExtractedAnswer | Extra
             FailureReason.TYPE_MISMATCH,
             f"expected {kind.value}, found {last.group('value')!r}",
         )
-    return ExtractedAnswer(last.group(0), value, kind, last.start())
+    return ExtractedAnswer(last.group(0), value, last.start())
 
 
-def score(extracted: ExtractedAnswer | ExtractionFailure, oracle: OracleAnswer) -> Verdict:
-    """Exact-match scoring; any extraction failure counts as unparseable."""
+def score(extracted: ExtractedAnswer | ExtractionFailure, oracle: Answer) -> Verdict:
+    """Exact-match scoring against the oracle's value; any extraction failure counts as unparseable.
+
+    An answer is correct only if it has the oracle's type and equals it, so
+    an extracted ``1`` does not match a ``True`` oracle.
+    """
     if isinstance(extracted, ExtractionFailure):
         return Verdict.UNPARSEABLE
-    if extracted.kind is not oracle.kind:
-        return Verdict.INCORRECT
-    return Verdict.CORRECT if extracted.value == oracle.value else Verdict.INCORRECT
+    value = extracted.value
+    return Verdict.CORRECT if type(value) is type(oracle) and value == oracle else Verdict.INCORRECT
 
 
-def format_result(answer: OracleAnswer) -> str:
+def format_result(answer: Answer) -> str:
     """Canonical concluding form, as the prompts request it."""
-    if answer.kind is AnswerKind.BOOL:
-        rendered = "True" if answer.value else "False"
-    elif answer.kind is AnswerKind.INT:
-        rendered = str(answer.value)
-    else:
-        escaped = str(answer.value).replace("\\", "\\\\").replace("'", "\\'")
+    if isinstance(answer, str):
+        escaped = answer.replace("\\", "\\\\").replace("'", "\\'")
         rendered = f"'{escaped}'"
+    else:
+        # str() spells a bool True or False and an int in decimal
+        rendered = str(answer)
     return "{'Result': " + rendered + "}"

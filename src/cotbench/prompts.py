@@ -158,7 +158,7 @@ def render_prompt(
         elif name == "string":
             pieces[i] = render_input(instance, InputRendering.COMPACT_STRING)
         else:
-            pieces[i] = str(instance.params.get("letter", "a"))
+            pieces[i] = str(instance.params["letter"])
     return RenderedPrompt("".join(pieces))
 
 

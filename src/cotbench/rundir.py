@@ -33,11 +33,12 @@ from cotbench.extraction import ExtractedAnswer, ExtractionFailure, FailureReaso
 from cotbench.prompts import SupervisionKind
 from cotbench.tasks import (
     ANSWER_KINDS,
+    ANSWER_TYPES,
     DEFAULT_LENGTHS,
+    Answer,
     AnswerKind,
     InputRendering,
     MalformedInstance,
-    OracleAnswer,
     TaskId,
     TaskInstance,
     UnsupportedLength,
@@ -77,7 +78,7 @@ class SpecError(RunnerError):
 
 
 _JSON_TYPES = {str: "a string", int: "an integer", float: "a number", list: "a list", dict: "an object",
-               tuple: "a list of numbers"}
+               bool: "a boolean", tuple: "a list of numbers"}
 
 
 def _typed(value, like: type, name: str):
@@ -262,7 +263,7 @@ class ExperimentSpec:
         return ExperimentSpec(tasks, lengths, **given)
 
 
-def encode_shared(instance: TaskInstance, oracle: OracleAnswer) -> str:
+def encode_shared(instance: TaskInstance, oracle: Answer) -> str:
     """The encoded part of a record that every kind's record of one instance holds alike."""
     return _ENCODER.encode({
         "instance": {
@@ -270,7 +271,7 @@ def encode_shared(instance: TaskInstance, oracle: OracleAnswer) -> str:
             "params": instance.params,
             "seed_path": instance.seed_path,
         },
-        "oracle": oracle.to_json(),
+        "oracle": oracle,
     })
 
 
@@ -345,7 +346,9 @@ def check_record(data) -> CheckedRecord:
       length and an index that ``int()`` accepts;
     - its instance passes ``instance_fields``: the symbols are in the
       task's alphabet, and a palindrome has one marker, at its centre;
-    - its oracle has the JSON type of the task's answer;
+    - its oracle is a value of the JSON type ``ANSWER_TYPES`` gives the
+      task's answer kind: a boolean, an integer (not ``true``, not ``1.0``)
+      or a string;
     - its extraction is an object holding ``raw_span``, ``value`` and
       ``position`` if ``ok``, and a known failure ``reason`` if not;
     - it holds a ``prompt_sha256``, a ``transcript`` and a known verdict.
@@ -360,7 +363,7 @@ def check_record(data) -> CheckedRecord:
         cell = CellKey.from_json(data)
         raw_instance = data["instance"]
         instance_fields(cell.task, raw_instance["elements"], raw_instance.get("params"))
-        OracleAnswer.check_json(cell.answer_kind, data["oracle"])
+        _typed(data["oracle"], ANSWER_TYPES[cell.answer_kind], "oracle")
         raw = data["extraction"]
         if not isinstance(raw, dict):
             raise ValueError(f"extraction is a JSON object, not {type(raw).__name__}")

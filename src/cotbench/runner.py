@@ -41,13 +41,7 @@ from cotbench.rundir import (
     scan_cell_file,
     write_table,
 )
-from cotbench.tasks import (
-    OracleAnswer,
-    TaskId,
-    TaskInstance,
-    generate_instance,
-    oracle_solve,
-)
+from cotbench.tasks import Answer, TaskId, TaskInstance, generate_instance, oracle_solve
 from cotbench.textgrid import format_grid
 
 Z_95 = statistics.NormalDist().inv_cdf(0.975)
@@ -77,7 +71,7 @@ def instance_seed_path(master_seed: int, task: TaskId, length: int, index: int) 
 PendingGroup = tuple[TaskId, int, int, list[CellKey]]
 
 # One call to make: (cell, index, instance, oracle, the record's encoded shared part).
-PendingCall = tuple[CellKey, int, TaskInstance, OracleAnswer, str]
+PendingCall = tuple[CellKey, int, TaskInstance, Answer, str]
 
 
 def _paired_calls(master_seed: int, pending: list[PendingGroup]) -> Iterator[PendingCall]:
@@ -101,7 +95,7 @@ def _execute_call(
     backend: ModelBackend,
     cell: CellKey,
     instance: TaskInstance,
-    oracle: OracleAnswer,
+    oracle: Answer,
 ) -> dict:
     """Make one call and score it; the record tail of what it produced."""
     prompt = render_prompt(get_template(cell.task, cell.kind), instance, cell.rendering)
@@ -231,8 +225,9 @@ def run_experiment(
     return run_dir
 
 
-def wilson_interval(successes: int, n: int, z: float = Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
+    z = Z_95
     if n == 0:
         return (0.0, 1.0)
     phat = successes / n
@@ -437,8 +432,10 @@ def two_proportion_z(k_a: int, n_a: int, k_b: int, n_b: int) -> float:
     return (k_b / n_b - k_a / n_a) / se
 
 
-def compare_runs(run_a: str | Path, run_b: str | Path, alpha: float = 0.05) -> ComparisonTable:
+def compare_runs(run_a: str | Path, run_b: str | Path) -> ComparisonTable:
     """Per-cell accuracy deltas between two runs sharing (task, length, kind) cells.
+
+    A delta is significant when its two-sided z test rejects at the 0.05 level.
 
     The rendering axis may differ between the runs (that is the point of
     the tokenization comparison); everything else must line up.
@@ -464,7 +461,6 @@ def compare_runs(run_a: str | Path, run_b: str | Path, alpha: float = 0.05) -> C
         only_b = {f"{t.value}/{l}/{k.value}" for t, l, k in set(cells_b) - set(cells_a)}
         raise StructureMismatch(f"cell structures differ (only in A: {only_a}, only in B: {only_b})")
 
-    z_crit = statistics.NormalDist().inv_cdf(1 - alpha / 2)
     rows = []
     for key in sorted(cells_a, key=lambda k: cells_a[k].cell.sort_key):
         a, b = cells_a[key], cells_b[key]
@@ -480,7 +476,7 @@ def compare_runs(run_a: str | Path, run_b: str | Path, alpha: float = 0.05) -> C
                 accuracy_b=b.accuracy,
                 delta=b.accuracy - a.accuracy,
                 z=z,
-                significant=abs(z) > z_crit,
+                significant=abs(z) > Z_95,
             )
         )
     return ComparisonTable(rows)

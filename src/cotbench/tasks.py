@@ -121,6 +121,11 @@ ANSWER_KINDS = {
     TaskId.DUPLICATE_LIST: AnswerKind.TEXT,
 }
 
+# An answer is the JSON value a record stores: a bool, an int that is no
+# bool, or text.  ANSWER_TYPES gives the exact Python type of each kind's answers.
+Answer = bool | int | str
+ANSWER_TYPES = {AnswerKind.BOOL: bool, AnswerKind.INT: int, AnswerKind.TEXT: str}
+
 # Letter pools each generator draws from.  Palindrome instances additionally
 # carry exactly one '#' marker that is not part of the pool.
 PALINDROME_MARKER = "#"
@@ -144,41 +149,6 @@ _DEFAULT_PARAMS = {
     TaskId.CYCLE_NAVIGATION: {"modulus": 5},
     TaskId.DUPLICATE_LIST: {"alphabet": ALPHABETS[TaskId.DUPLICATE_LIST]},
 }
-
-
-@dataclass(frozen=True)
-class OracleAnswer:
-    """A typed ground-truth answer; the kind is fixed per task."""
-
-    kind: AnswerKind
-    value: bool | int | str
-
-    @staticmethod
-    def of_bool(value: bool) -> "OracleAnswer":
-        return OracleAnswer(AnswerKind.BOOL, bool(value))
-
-    @staticmethod
-    def of_int(value: int) -> "OracleAnswer":
-        return OracleAnswer(AnswerKind.INT, int(value))
-
-    @staticmethod
-    def of_text(value: str) -> "OracleAnswer":
-        return OracleAnswer(AnswerKind.TEXT, str(value))
-
-    def to_json(self) -> bool | int | str:
-        return self.value
-
-    @staticmethod
-    def check_json(kind: AnswerKind, value) -> None:
-        """ValueError unless ``value`` has ``kind``'s JSON type: a bool, an int that is no bool, or text."""
-        if kind is AnswerKind.BOOL:
-            ok = isinstance(value, bool)
-        elif kind is AnswerKind.INT:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, str)
-        if not ok:
-            raise ValueError(f"expected {kind.value}, got {value!r}")
 
 
 class InputRendering(Enum):
@@ -255,7 +225,7 @@ def instance_fields(
         payload = elements[:mid] + elements[mid + 1 :]
     else:
         if task is TaskId.DUPLICATE_LIST:
-            symbols = frozenset(merged.get("alphabet", ALPHABETS[task]))
+            symbols = frozenset(merged["alphabet"])
         else:
             symbols = _SYMBOLS[task]
         payload = elements
@@ -366,48 +336,48 @@ def _is_prefix_balanced(elements: Sequence[str]) -> bool:
     return depth == 0
 
 
-def oracle_solve(task: TaskId, instance: TaskInstance) -> OracleAnswer:
-    """Compute the unique correct answer for an instance."""
+def oracle_solve(task: TaskId, instance: TaskInstance) -> Answer:
+    """The unique correct answer for an instance, as the value a record stores.
+
+    Its type is the one ``ANSWER_TYPES`` gives the task's answer kind.
+    """
     if instance.task is not task:
         raise MalformedInstance(f"instance is for {instance.task.value}, not {task.value}")
     elements = instance.elements
 
     if task is TaskId.PARITY_CHECK:
-        letter = instance.params.get("letter", "a")
-        return OracleAnswer.of_bool(elements.count(letter) % 2 == 0)
+        return elements.count(instance.params["letter"]) % 2 == 0
 
     if task is TaskId.EVEN_PAIRS:
-        changes = sum(1 for a, b in zip(elements, elements[1:]) if a != b)
-        return OracleAnswer.of_int(changes)
+        return sum(1 for a, b in zip(elements, elements[1:]) if a != b)
 
     if task is TaskId.CYCLE_NAVIGATION:
-        modulus = instance.params.get("modulus", 5)
         deltas = {"0": 0, "1": 1, "2": -1}
         try:
             total = sum(deltas[m] for m in elements)
         except KeyError as exc:
             raise MalformedInstance(f"bad movement symbol {exc.args[0]!r}") from exc
-        return OracleAnswer.of_int(total % modulus)
+        return total % instance.params["modulus"]
 
     if task is TaskId.REVERSE_LIST:
-        return OracleAnswer.of_text("".join(reversed(elements)))
+        return "".join(reversed(elements))
 
     if task is TaskId.EQUAL_NUMBER:
-        return OracleAnswer.of_bool(_is_prefix_balanced(elements))
+        return _is_prefix_balanced(elements)
 
     if task is TaskId.PALINDROME_VERIFICATION:
         left, right = _split_at_marker(elements)
-        return OracleAnswer.of_bool(right == left[::-1])
+        return right == left[::-1]
 
     if task is TaskId.ODDS_FIRST:
-        return OracleAnswer.of_text("".join(elements[1::2]) + "".join(elements[0::2]))
+        return "".join(elements[1::2]) + "".join(elements[0::2])
 
     if task is TaskId.SORTING_LIST:
-        return OracleAnswer.of_text("".join(sorted(elements, key=ord)))
+        return "".join(sorted(elements, key=ord))
 
     if task is TaskId.DUPLICATE_LIST:
         s = "".join(elements)
-        return OracleAnswer.of_text(s + s)
+        return s + s
 
     raise AssertionError(f"unhandled task {task}")
 
@@ -419,7 +389,7 @@ def _split_at_marker(elements: Sequence[str]) -> tuple[tuple[str, ...], tuple[st
     return tuple(elements[:mid]), tuple(elements[mid + 1 :])
 
 
-def brute_force_oracle(task: TaskId, instance: TaskInstance) -> OracleAnswer:
+def brute_force_oracle(task: TaskId, instance: TaskInstance) -> Answer:
     """Recompute the answer by a structurally different naive method.
 
     Used only for cross-checking oracle_solve; refuses payloads over 20
@@ -430,9 +400,9 @@ def brute_force_oracle(task: TaskId, instance: TaskInstance) -> OracleAnswer:
     elements = list(instance.elements)
 
     if task is TaskId.PARITY_CHECK:
-        letter = instance.params.get("letter", "a")
+        letter = instance.params["letter"]
         kept = [e for e in elements if e == letter]
-        return OracleAnswer.of_bool(len(kept) % 2 == 0)
+        return len(kept) % 2 == 0
 
     if task is TaskId.EVEN_PAIRS:
         s = "".join(elements)
@@ -440,10 +410,10 @@ def brute_force_oracle(task: TaskId, instance: TaskInstance) -> OracleAnswer:
         for i in range(len(s) - 1):
             if s[i : i + 2] in ("ab", "ba"):
                 hits += 1
-        return OracleAnswer.of_int(hits)
+        return hits
 
     if task is TaskId.CYCLE_NAVIGATION:
-        modulus = instance.params.get("modulus", 5)
+        modulus = instance.params["modulus"]
         pos = 0
         for move in elements:
             if move == "1":
@@ -452,32 +422,32 @@ def brute_force_oracle(task: TaskId, instance: TaskInstance) -> OracleAnswer:
                 pos = pos - 1 if pos > 0 else modulus - 1
             elif move != "0":
                 raise MalformedInstance(f"bad movement symbol {move!r}")
-        return OracleAnswer.of_int(pos)
+        return pos
 
     if task is TaskId.REVERSE_LIST:
         out: list[str] = []
         for e in elements:
             out.insert(0, e)
-        return OracleAnswer.of_text("".join(out))
+        return "".join(out)
 
     if task is TaskId.EQUAL_NUMBER:
         for i in range(1, len(elements) + 1):
             prefix = elements[:i]
             if prefix.count("0") < prefix.count("1"):
-                return OracleAnswer.of_bool(False)
-        return OracleAnswer.of_bool(elements.count("0") == elements.count("1"))
+                return False
+        return elements.count("0") == elements.count("1")
 
     if task is TaskId.PALINDROME_VERIFICATION:
         left, right = _split_at_marker(elements)
         mirrored: list[str] = []
         for e in left:
             mirrored.insert(0, e)
-        return OracleAnswer.of_bool(list(right) == mirrored)
+        return list(right) == mirrored
 
     if task is TaskId.ODDS_FIRST:
         odds = [e for i, e in enumerate(elements) if i % 2 == 1]
         evens = [e for i, e in enumerate(elements) if i % 2 == 0]
-        return OracleAnswer.of_text("".join(odds + evens))
+        return "".join(odds + evens)
 
     if task is TaskId.SORTING_LIST:
         out = []
@@ -486,14 +456,14 @@ def brute_force_oracle(task: TaskId, instance: TaskInstance) -> OracleAnswer:
             while i < len(out) and ord(out[i]) <= ord(e):
                 i += 1
             out.insert(i, e)
-        return OracleAnswer.of_text("".join(out))
+        return "".join(out)
 
     if task is TaskId.DUPLICATE_LIST:
         out = []
         for _ in range(2):
             for e in elements:
                 out.append(e)
-        return OracleAnswer.of_text("".join(out))
+        return "".join(out)
 
     raise AssertionError(f"unhandled task {task}")
 
@@ -517,7 +487,7 @@ def instance_record(instance: TaskInstance) -> dict:
         "length": instance.length,
         "elements": list(instance.elements),
         "params": instance.params,
-        "oracle": oracle_solve(instance.task, instance).to_json(),
+        "oracle": oracle_solve(instance.task, instance),
     }
 
 
@@ -552,7 +522,8 @@ def oracle_disagreements(
     The tasks in EXHAUSTIVE_TASKS are checked on every instance of lengths
     1 to ``max_length``; each other task on ``samples`` generated instances
     of even lengths up to 20, drawn from ``seed_path``.  Returns the number
-    of instances checked and those on which the two solvers disagree.
+    of instances checked and those on which the two solvers disagree: their
+    answers differ in type or in value, so ``1`` disagrees with ``True``.
     """
     checked = 0
     bad = []
@@ -566,6 +537,7 @@ def oracle_disagreements(
             instances = (generate_instance(task, rng.choice(range(2, 21, 2)), rng) for _ in range(samples))
         for inst in instances:
             checked += 1
-            if oracle_solve(task, inst) != brute_force_oracle(task, inst):
+            fast, naive = oracle_solve(task, inst), brute_force_oracle(task, inst)
+            if type(fast) is not type(naive) or fast != naive:
                 bad.append(inst)
     return checked, bad

@@ -29,7 +29,6 @@ from cotbench.tasks import (
     DEFAULT_LENGTHS,
     AnswerKind,
     InputRendering,
-    OracleAnswer,
     TaskId,
     generate_instance,
     make_instance,
@@ -68,8 +67,8 @@ def test_criterion_2_golden_case_studies():
         # the stored inputs really have the stated ground truths
         ep = make_instance(TaskId.EVEN_PAIRS, CASE_EP_LIST)
         rl = make_instance(TaskId.REVERSE_LIST, CASE_RL_LIST)
-        assert oracle_solve(TaskId.EVEN_PAIRS, ep).value == CASE_ORACLES["ep"] == 9
-        assert oracle_solve(TaskId.REVERSE_LIST, rl).value == CASE_ORACLES["rl"] == "evxedkhmivkbgfo"
+        assert oracle_solve(TaskId.EVEN_PAIRS, ep) == CASE_ORACLES["ep"] == 9
+        assert oracle_solve(TaskId.REVERSE_LIST, rl) == CASE_ORACLES["rl"] == "evxedkhmivkbgfo"
 
         expected_verdicts = {
             "case_ep_cot": Verdict.INCORRECT,
@@ -84,8 +83,7 @@ def test_criterion_2_golden_case_studies():
             extracted = extract_result(load_case(name), kind)
             assert isinstance(extracted, ExtractedAnswer), name
             assert extracted.value == expected_value, name
-            oracle = OracleAnswer(kind, CASE_ORACLES[task])
-            assert score(extracted, oracle) is expected_verdicts[name], name
+            assert score(extracted, CASE_ORACLES[task]) is expected_verdicts[name], name
 
 
 PROMPT_ANCHORS = {

@@ -39,7 +39,6 @@ from cotbench.backends import (
 from cotbench.extraction import Verdict, extract_result, score
 from cotbench.tasks import (
     AnswerKind,
-    OracleAnswer,
     TaskId,
     generate_instance,
     oracle_solve,
@@ -60,12 +59,12 @@ class TestOracleEcho:
         ctx = context_for(TaskId.EVEN_PAIRS, 10, "echo/ep")
         transcript = OracleEchoBackend().complete("prompt", CFG, ctx).text
         got = extract_result(transcript, AnswerKind.INT)
-        assert got.value == ctx.oracle.value
+        assert got.value == ctx.oracle
 
     def test_text_answer_quoted(self):
         ctx = context_for(TaskId.REVERSE_LIST, 8, "echo/rl")
         transcript = OracleEchoBackend().complete("prompt", CFG, ctx).text
-        assert transcript.endswith("{'Result': '%s'}" % ctx.oracle.value)
+        assert transcript.endswith("{'Result': '%s'}" % ctx.oracle)
 
     def test_requires_context(self):
         with pytest.raises(ProtocolError):
@@ -111,8 +110,8 @@ class TestCorrupting:
             ctx = context_for(TaskId.DUPLICATE_LIST, 6, f"cor/dl/{i}")
             transcript = backend.complete(f"prompt {i}", CFG, ctx).text
             got = extract_result(transcript, AnswerKind.TEXT)
-            assert got.value != ctx.oracle.value
-            assert sorted(got.value) == sorted(ctx.oracle.value) or len(got.value) == len(ctx.oracle.value)
+            assert got.value != ctx.oracle
+            assert sorted(got.value) == sorted(ctx.oracle) or len(got.value) == len(ctx.oracle)
 
 
 def sha256(text: str) -> str:
@@ -569,7 +568,7 @@ def test_preseeded_case_transcripts_replay_to_expected_verdicts():
         kind = AnswerKind.INT if task_code == "ep" else AnswerKind.TEXT
         transcript = replay.complete(prompts[name], CFG).text
         extracted = extract_result(transcript, kind)
-        verdict = score(extracted, OracleAnswer(kind, CASE_ORACLES[task_code]))
+        verdict = score(extracted, CASE_ORACLES[task_code])
         want = Verdict.CORRECT if expected_value == CASE_ORACLES[task_code] else Verdict.INCORRECT
         assert verdict is want, name
 

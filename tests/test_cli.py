@@ -53,6 +53,18 @@ class TestGenerate:
         assert list(record)[:5] == ["task", "length", "elements", "params", "oracle"]
         assert record["input"].startswith("[")
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, count):
+        out = tmp_path / "instances.jsonl"
+        for flags in ((), ("--out", str(out))):
+            code, stdout, err = run_cli(
+                capsys, "generate", "--task", "pc", "--length", "10", "--count", str(count), *flags
+            )
+            assert code == 2
+            assert stdout == ""
+            assert err == f"usage error: --count must be positive, got {count}\n"
+        assert not out.exists()
+
     def test_unknown_task_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--task", "zz", "--length", "4"])

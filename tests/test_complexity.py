@@ -142,7 +142,7 @@ class TestCensus:
 
 def enumerated_census(instance, model: CandidateModel) -> tuple[int, int]:
     """(total, correct) by listing every candidate answer and comparing it to the oracle."""
-    target = oracle_solve(instance.task, instance).value
+    target = oracle_solve(instance.task, instance)
     if model is CandidateModel.BOOLEAN:
         candidates = [True, False]
     elif model is CandidateModel.CYCLE_POSITIONS:
@@ -190,7 +190,7 @@ def test_closed_form_matches_enumeration(task):
         ]
         instances.append(repeated_letter_instance(task, length, rng))
         for instance in instances:
-            answer_length = len(oracle_solve(task, instance).value) if text_answer else 0
+            answer_length = len(oracle_solve(task, instance)) if text_answer else 0
             for model in models:
                 if model is strings and len(set(instance.elements)) ** answer_length > ENUMERATION_BUDGET:
                     continue

@@ -18,7 +18,7 @@ from cotbench.extraction import (
     format_result,
     score,
 )
-from cotbench.tasks import AnswerKind, OracleAnswer
+from cotbench.tasks import AnswerKind
 
 from conftest import CASE_ORACLES, CASE_STUDIES, load_case
 
@@ -34,8 +34,7 @@ class TestGoldenTranscripts:
     @pytest.mark.parametrize("name,task,kind,expected", CASE_STUDIES)
     def test_scores_against_oracle(self, name, task, kind, expected):
         answer_kind = AnswerKind.INT if task == "ep" else AnswerKind.TEXT
-        oracle = OracleAnswer(answer_kind, CASE_ORACLES[task])
-        verdict = score(extract_result(load_case(name), answer_kind), oracle)
+        verdict = score(extract_result(load_case(name), answer_kind), CASE_ORACLES[task])
         want = Verdict.CORRECT if expected == CASE_ORACLES[task] else Verdict.INCORRECT
         assert verdict is want
 
@@ -95,34 +94,37 @@ class TestExtractResult:
 class TestScore:
     def test_incorrect_int(self):
         got = extract_result("{'Result': 6}", AnswerKind.INT)
-        assert score(got, OracleAnswer.of_int(9)) is Verdict.INCORRECT
+        assert score(got, 9) is Verdict.INCORRECT
 
     def test_correct_text(self):
         got = extract_result("{'Result': 'evxedkhmivkbgfo'}", AnswerKind.TEXT)
-        assert score(got, OracleAnswer.of_text("evxedkhmivkbgfo")) is Verdict.CORRECT
+        assert score(got, "evxedkhmivkbgfo") is Verdict.CORRECT
 
     def test_text_case_sensitive(self):
         got = extract_result("{'Result': 'BCad'}", AnswerKind.TEXT)
-        assert score(got, OracleAnswer.of_text("bcad")) is Verdict.INCORRECT
+        assert score(got, "bcad") is Verdict.INCORRECT
 
     def test_unparseable(self):
         failure = ExtractionFailure(FailureReason.NO_RESULT_FOUND)
-        assert score(failure, OracleAnswer.of_bool(True)) is Verdict.UNPARSEABLE
+        assert score(failure, True) is Verdict.UNPARSEABLE
 
     def test_bool_not_confused_with_int(self):
-        # True == 1 in Python; the kind tag must keep them apart
-        extracted = ExtractedAnswer("{'Result': True}", True, AnswerKind.BOOL, 0)
-        assert score(extracted, OracleAnswer.of_int(1)) is Verdict.INCORRECT
+        # True == 1 in Python; score compares the types as well
+        extracted = ExtractedAnswer("{'Result': True}", True, 0)
+        assert score(extracted, 1) is Verdict.INCORRECT
+        extracted = ExtractedAnswer("{'Result': 1}", 1, 0)
+        assert score(extracted, True) is Verdict.INCORRECT
 
 
-def oracle_answers():
-    bools = st.booleans().map(OracleAnswer.of_bool)
-    ints = st.integers(-10**6, 10**6).map(OracleAnswer.of_int)
+def kinded_answers():
+    """(kind, answer) pairs: an answer of each kind, with the kind to extract it as."""
+    bools = st.booleans().map(lambda v: (AnswerKind.BOOL, v))
+    ints = st.integers(-10**6, 10**6).map(lambda v: (AnswerKind.INT, v))
     texts = st.text(
         alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
         min_size=0,
         max_size=40,
-    ).map(OracleAnswer.of_text)
+    ).map(lambda v: (AnswerKind.TEXT, v))
     return st.one_of(bools, ints, texts)
 
 
@@ -133,13 +135,15 @@ class TestProperties:
         got = extract_result(text, kind)
         assert isinstance(got, (ExtractedAnswer, ExtractionFailure))
 
-    @given(oracle_answers())
+    @given(kinded_answers())
     @settings(max_examples=200, deadline=None)
-    def test_round_trip(self, answer):
+    def test_round_trip(self, kinded):
+        kind, answer = kinded
         rendered = format_result(answer)
-        got = extract_result(rendered, answer.kind)
+        got = extract_result(rendered, kind)
         assert isinstance(got, ExtractedAnswer), rendered
-        assert got.value == answer.value
+        assert type(got.value) is type(answer)
+        assert got.value == answer
 
     @given(
         st.text(max_size=120),
@@ -148,7 +152,7 @@ class TestProperties:
     )
     @settings(max_examples=200, deadline=None)
     def test_appending_resultless_text_is_stable(self, prefix, value, suffix):
-        base = prefix + format_result(OracleAnswer.of_int(value))
+        base = prefix + format_result(value)
         first = extract_result(base, AnswerKind.INT)
         second = extract_result(base + suffix, AnswerKind.INT)
         assert isinstance(first, ExtractedAnswer)

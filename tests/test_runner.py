@@ -47,7 +47,6 @@ from cotbench.tasks import (
     AnswerKind,
     InputRendering,
     MalformedInstance,
-    OracleAnswer,
     TaskId,
 )
 
@@ -69,10 +68,13 @@ def small_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**base)
 
 
-def three_task_spec() -> ExperimentSpec:
-    """One Base cell each of a parity, a palindrome and a duplicate-list task, whose instance rules differ."""
-    tasks = [TaskId.PARITY_CHECK, TaskId.PALINDROME_VERIFICATION, TaskId.DUPLICATE_LIST]
-    return small_spec(tasks=tasks, lengths=dict(zip(tasks, [[20], [4], [4]])), kinds=[SupervisionKind.BASE])
+def record_rules_spec() -> ExperimentSpec:
+    """One Base cell each of a parity, a palindrome, a duplicate-list and an even-pairs task.
+
+    Their instance rules differ, and their answers are booleans, text and integers.
+    """
+    tasks = [TaskId.PARITY_CHECK, TaskId.PALINDROME_VERIFICATION, TaskId.DUPLICATE_LIST, TaskId.EVEN_PAIRS]
+    return small_spec(tasks=tasks, lengths=dict(zip(tasks, [[20], [4], [4], [4]])), kinds=[SupervisionKind.BASE])
 
 
 # A field that a changed record leaves out.
@@ -104,6 +106,15 @@ def spelled(name: str, number: str):
     return lambda first: altered(first, {name: 0.25, "error": "Timeout"}).replace(placeholder, f'"{name}": {number}')
 
 
+# Oracles of another JSON type than their task's answers, as (id, task, changes):
+# pc answers with a boolean, dl with text and ep with an integer.
+WRONG_TYPE_ORACLES = [
+    ("oracle-true-for-an-int", "ep", {"oracle": True}),
+    ("oracle-1-for-a-bool", "pc", {"oracle": 1}),
+    ("oracle-1-for-a-text", "dl", {"oracle": 1}),
+    ("oracle-float-for-an-int", "ep", {"oracle": 1.0}),
+]
+
 # Lines that hold no record, one case per rule of rundir.check_record and of
 # the line's JSON, as (id, task, line): a whole line, a function of the first
 # record line of the task's cell file, or the changes that turn that record
@@ -124,6 +135,7 @@ NOT_RECORDS = [
     ("marker-off-centre", "pv", {"instance": lambda inst: {**inst, "elements": sorted(inst["elements"])}}),
     ("symbol-outside-dl-alphabet", "dl", {"instance": with_instance(elements=list("abca"))}),
     ("oracle-of-wrong-type", "pc", {"oracle": "true"}),
+    *WRONG_TYPE_ORACLES,
     ("extraction-list", "pc", {"extraction": ["ok"]}),
     ("unknown-failure-reason", "pc", {"extraction": {"ok": False, "reason": "Nope", "detail": ""}}),
     ("answer-without-span", "pc", {"extraction": lambda raw: {k: v for k, v in raw.items() if k != "raw_span"}}),
@@ -449,7 +461,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("task,bad", [pytest.param(task, bad, id=id_) for id_, task, bad in NOT_RECORDS])
     def test_resume_and_report_skip_json_that_is_no_record(self, tmp_path, task, bad):
-        spec = three_task_spec()
+        spec = record_rules_spec()
         run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
         before = aggregate(run_dir, write=False).to_json()
         (cell_file,) = (run_dir / "records").glob(f"{task}.*.jsonl")
@@ -605,9 +617,8 @@ class TestRunExperiment:
         spec = small_spec(instances_per_cell=5)
         run_dir = run_experiment(spec, CorruptingBackend(p=0.5, seed=2), tmp_path / "run")
         for record in keyed_records(run_dir).values():
-            kind = ANSWER_KINDS[record.cell.task]
-            extracted = extract_result(record.data["transcript"], kind)
-            assert score(extracted, OracleAnswer(kind, record.data["oracle"])) is record.verdict
+            extracted = extract_result(record.data["transcript"], ANSWER_KINDS[record.cell.task])
+            assert score(extracted, record.data["oracle"]) is record.verdict
 
 
 class TestWilson:
@@ -962,14 +973,14 @@ class TestRecordCheck:
     @pytest.fixture(scope="class")
     def first_lines(self, tmp_path_factory):
         """By task, the name of its cell file and the file's first line."""
-        run_dir = run_experiment(three_task_spec(), OracleEchoBackend(), tmp_path_factory.mktemp("run"))
+        run_dir = run_experiment(record_rules_spec(), OracleEchoBackend(), tmp_path_factory.mktemp("run"))
         paths = (run_dir / "records").glob("*.jsonl")
         return {path.name.split(".")[0]: (path.name, path.read_text().split("\n")[0]) for path in paths}
 
     CASES = (
         [pytest.param(task, bad, False, id=id_) for id_, task, bad in NOT_RECORDS]
         + [pytest.param("pc", change, True, id=id_) for id_, change in ODD_RECORDS]
-        + [pytest.param(task, {}, True, id=f"unchanged-{task}") for task in ("pc", "pv", "dl")]
+        + [pytest.param(task, {}, True, id=f"unchanged-{task}") for task in ("pc", "pv", "dl", "ep")]
     )
 
     @pytest.mark.parametrize("task,line,is_record", CASES)
@@ -989,3 +1000,9 @@ class TestRecordCheck:
         path.parent.mkdir()
         path.write_text(line + "\n")
         assert len(rundir.scan_cell_file(path, 10)) == len(list(rundir.load_records(tmp_path))) == is_record
+
+    @pytest.mark.parametrize("task,change", [pytest.param(task, change, id=id_) for id_, task, change in WRONG_TYPE_ORACLES])
+    def test_an_oracle_of_the_wrong_type_is_a_value_error(self, first_lines, task, change):
+        # a ValueError that names the field, not a KeyError from the check's own table of type names
+        with pytest.raises(ValueError, match="oracle must be"):
+            rundir.check_record(json.loads(altered(first_lines[task][1], change)))
