@@ -32,7 +32,7 @@ from urllib.parse import SplitResult, unquote, urlsplit
 
 from cotbench.extraction import format_result
 from cotbench.prompts import prompt_sha256
-from cotbench.rundir import CompletionConfig, is_run_dir, load_records, load_spec
+from cotbench.rundir import CompletionConfig, is_run_dir, load_records, load_spec, typed
 from cotbench.tasks import Answer, TaskInstance, rng_for
 
 API_KEY_ENV = "COTBENCH_API_KEY"
@@ -92,8 +92,6 @@ class ModelBackend:
     ``complete`` is the one call method; the runner issues every call through it.
     """
 
-    name = "abstract"
-
     def complete(
         self, prompt: str, cfg: CompletionConfig, context: CallContext | None = None
     ) -> Completion:
@@ -110,7 +108,6 @@ def _echo_transcript(oracle: Answer) -> str:
 class OracleEchoBackend(ModelBackend):
     """Answers every prompt with its bound oracle answer; accuracy is 1 by construction."""
 
-    name = "echo"
 
     def complete(self, prompt, cfg, context=None):
         if context is None:
@@ -136,8 +133,6 @@ class CorruptingBackend(ModelBackend):
     Corruption is decided per prompt from a content hash, not from call
     order, so outcomes do not depend on worker scheduling.
     """
-
-    name = "corrupt"
 
     def __init__(self, p: float, seed: int = 0):
         if not 0.0 <= p <= 1.0:
@@ -166,8 +161,6 @@ class ReplayBackend(ModelBackend):
     A transcript answers only calls with the recorded run's model, temperature
     and max_tokens; timeout and retry settings do not change what a model says.
     """
-
-    name = "replay"
 
     def __init__(self, transcripts: dict[str, str], decoding: CompletionConfig):
         self.transcripts = transcripts
@@ -259,8 +252,6 @@ class LiveBackend(ModelBackend):
     ``ssl.create_default_context()``, which trusts the system's CA store
     (``SSL_CERT_FILE`` overrides it).
     """
-
-    name = "live"
 
     def __init__(
         self,
@@ -425,22 +416,35 @@ def _close_all(connections: list) -> None:
         connections.pop().close()
 
 
+def _option(spec: dict, name: str, like: type, default=None):
+    """The backend block's field ``name``, or ``default`` if it is absent or null.
+
+    TypeError unless the field has the JSON type ``like`` (``rundir.typed``).
+    """
+    value = spec.get(name)
+    return default if value is None else typed(value, like, f"backend.{name}")
+
+
 def make_backend(spec: dict) -> ModelBackend:
-    """Build a backend from an experiment spec's backend block."""
+    """Build a backend from an experiment spec's backend block.
+
+    TypeError for a field it reads of the wrong JSON type, ValueError for a
+    value it refuses; the fields it does not read are ignored.
+    """
     kind = spec.get("kind", "echo")
     if kind == "echo":
         return OracleEchoBackend()
     if kind == "corrupt":
-        return CorruptingBackend(p=spec.get("p", 0.0), seed=spec.get("seed", 0))
+        return CorruptingBackend(p=_option(spec, "p", float, 0.0), seed=_option(spec, "seed", int, 0))
     if kind == "replay":
-        path = spec.get("store")
+        path = _option(spec, "store", str)
         if not path:
             raise ValueError("replay backend needs a 'store' run directory")
         return ReplayBackend.from_run(path)
     if kind == "live":
         return LiveBackend(
-            base_url=spec.get("base_url"),
-            api_key=spec.get("api_key"),
+            base_url=_option(spec, "base_url", str),
+            api_key=_option(spec, "api_key", str),
             requests_per_minute=spec.get("requests_per_minute"),
         )
     raise ValueError(f"unknown backend kind {kind!r}")

@@ -13,17 +13,12 @@ import sys
 from pathlib import Path
 
 from cotbench.backends import AuthError, BackendError, ReplayBackend, make_backend
-from cotbench.complexity import (
-    ComplexityError,
-    InvalidParams,
-    PromptSpaceParams,
-    density_report,
-    template_count,
-)
+from cotbench.complexity import ComplexityError, InvalidParams, density_report, template_count
 from cotbench.prompts import PromptError, SupervisionKind, get_template, render_prompt
 from cotbench.rundir import RunnerError, SpecError, is_run_dir, read_spec
 from cotbench.runner import aggregate, compare_runs, instance_seed_path, run_experiment, stderr_progress
 from cotbench.tasks import (
+    BRUTE_FORCE_MAX_LENGTH,
     DEFAULT_LENGTHS,
     InputRendering,
     TaskId,
@@ -72,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
 
     p = sub.add_parser("validate-oracles", help="cross-check fast oracles against naive solvers")
-    p.add_argument("--max-length", type=int, default=12)
+    p.add_argument("--max-length", type=int, default=12,
+                   help=f"check every two-letter instance up to this length, 1 to {BRUTE_FORCE_MAX_LENGTH}")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
 
@@ -138,6 +134,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate_oracles(args) -> int:
+    if not 1 <= args.max_length <= BRUTE_FORCE_MAX_LENGTH:
+        print(f"usage error: --max-length must be in 1..{BRUTE_FORCE_MAX_LENGTH}, got {args.max_length}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    if args.samples < 1:
+        print(f"usage error: --samples must be positive, got {args.samples}", file=sys.stderr)
+        return EXIT_USAGE
     checked, bad = oracle_disagreements(args.max_length, args.samples, f"validate/{args.seed}")
     for inst in bad:
         print(f"DISAGREE {inst.task.value} {inst.elements}", file=sys.stderr)
@@ -167,7 +170,7 @@ def cmd_run(args) -> int:
     except AuthError as exc:
         print(f"auth error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except (ValueError, SpecError) as exc:
+    except (TypeError, ValueError, SpecError) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if isinstance(backend, ReplayBackend):
@@ -223,7 +226,7 @@ def cmd_complexity(args) -> int:
             print("usage error: --n and --s go together", file=sys.stderr)
             return EXIT_USAGE
         try:
-            value = template_count(PromptSpaceParams(args.n, args.s))
+            value = template_count(args.n, args.s)
         except InvalidParams as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE

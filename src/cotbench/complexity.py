@@ -35,21 +35,14 @@ class InvalidParams(ComplexityError):
     pass
 
 
-@dataclass(frozen=True)
-class PromptSpaceParams:
-    """n bits of latent information, s bits verbalized per reasoning step."""
+def template_count(n: int, s: int) -> int:
+    """Number of distinct step templates when a step verbalizes s of n latent bits: C(n, s).
 
-    n: int
-    s: int
-
-    def __post_init__(self):
-        if self.n <= 0 or self.s <= 0 or self.s > self.n:
-            raise InvalidParams(f"need 0 < s <= n, got n={self.n}, s={self.s}")
-
-
-def template_count(params: PromptSpaceParams) -> int:
-    """Number of distinct step templates: ways to choose s of n bits."""
-    return math.comb(params.n, params.s)
+    InvalidParams unless 0 < s <= n.
+    """
+    if n <= 0 or s <= 0 or s > n:
+        raise InvalidParams(f"need 0 < s <= n, got n={n}, s={s}")
+    return math.comb(n, s)
 
 
 class CandidateModel(Enum):
@@ -120,39 +113,38 @@ def answer_space_census(
     task: TaskId,
     length: int | None = None,
     instance: TaskInstance | None = None,
-    model: CandidateModel | None = None,
 ) -> AnswerSpaceCensus:
-    """Count a candidate answer space and its correct members in closed form.
+    """Count the task's candidate answer space and its correct members in closed form.
 
-    The counts are those of enumerating the candidates: permutations are
-    orderings of the instance's symbols by position, so repeated symbols
-    make several orderings spell the same answer.
+    The candidates are those of the task's own model, its
+    ``DEFAULT_CANDIDATE_MODELS`` entry, over ``instance`` or, given a length
+    only, over ``reference_instance(task, length)``.  The counts are those
+    of enumerating the candidates: permutations are orderings of the
+    instance's symbols by position, so repeated symbols make several
+    orderings spell the same answer.
     """
     if instance is None:
         if length is None:
             raise InvalidParams("pass a length or an instance")
         instance = reference_instance(task, length)
-    if model is None:
-        model = DEFAULT_CANDIDATE_MODELS[task]
+    model = DEFAULT_CANDIDATE_MODELS[task]
     target = oracle_solve(task, instance)
 
     if model is CandidateModel.BOOLEAN:
-        total, correct = 2, int(type(target) is bool)
+        total, correct = 2, 1
     elif model is CandidateModel.CYCLE_POSITIONS:
-        total = instance.params.get("modulus", 5)
-        correct = int(type(target) is int and 0 <= target < total)
+        total = instance.params["modulus"]
+        correct = int(0 <= target < total)
     elif model is CandidateModel.COUNT_RANGE:
         total = instance.length
-        correct = int(type(target) is int and 0 <= target < total)
+        correct = int(0 <= target < total)
     elif model is CandidateModel.PERMUTATIONS:
         total = math.factorial(len(instance.elements))
         multiplicities = Counter(instance.elements)
         correct = 0
-        if isinstance(target, str) and Counter(target) == multiplicities:
+        if Counter(target) == multiplicities:
             correct = math.prod(math.factorial(m) for m in multiplicities.values())
     else:  # ALPHABET_STRINGS
-        if not isinstance(target, str):
-            raise InvalidParams(f"{task.value} answers are not strings; {model.value} does not apply")
         alphabet = set(instance.elements)
         total = len(alphabet) ** len(target)
         correct = int(alphabet.issuperset(target))
@@ -194,17 +186,3 @@ def density_report(tasks: list[TaskId], lengths: list[int]) -> DensityReport:
             except ComplexityError as exc:
                 failures.append((task, length, str(exc)))
     return DensityReport(rows, failures)
-
-
-__all__ = [
-    "AnswerSpaceCensus",
-    "CandidateModel",
-    "ComplexityError",
-    "DensityReport",
-    "InvalidParams",
-    "PromptSpaceParams",
-    "answer_space_census",
-    "density_report",
-    "reference_instance",
-    "template_count",
-]

@@ -81,7 +81,7 @@ _JSON_TYPES = {str: "a string", int: "an integer", float: "a number", list: "a l
                bool: "a boolean", tuple: "a list of numbers"}
 
 
-def _typed(value, like: type, name: str):
+def typed(value, like: type, name: str):
     """``value`` if it has the JSON type ``like`` stands for (a list comes back a tuple for
     ``tuple``); TypeError if not.  An integer passes for a number, a bool for neither."""
     number = (int, float)
@@ -114,9 +114,9 @@ class CompletionConfig:
 
         Each field must have the JSON type of its default; TypeError if not.
         """
-        _typed(data, dict, "completion")
+        typed(data, dict, "completion")
         return CompletionConfig(**{
-            f.name: _typed(data[f.name], type(f.default), f"completion.{f.name}")
+            f.name: typed(data[f.name], type(f.default), f"completion.{f.name}")
             for f in fields(CompletionConfig)
             if f.name in data
         })
@@ -235,29 +235,38 @@ class ExperimentSpec:
         """The spec a JSON object gives.
 
         Each field it leaves out takes its default, and each task it gives
-        no lengths its ``DEFAULT_LENGTHS``.  TypeError for a field of the
-        wrong JSON type, ValueError for an unknown name, KeyError without
-        ``tasks``.
+        no lengths its ``DEFAULT_LENGTHS``.  A ``lengths`` key is read as a
+        task name is, and may name a task ``tasks`` leaves out.  TypeError
+        for a field of the wrong JSON type, ValueError for an unknown name or
+        two ``lengths`` keys naming one task, KeyError without ``tasks``.
         """
-        _typed(data, dict, "a spec")
-        tasks = [TaskId.parse(t) for t in _typed(data["tasks"], list, "tasks")]
-        raw_lengths = _typed(data.get("lengths") or {}, dict, "lengths")
+        typed(data, dict, "a spec")
+        tasks = [TaskId.parse(t) for t in typed(data["tasks"], list, "tasks")]
+        raw_lengths = {}
+        for key, value in typed(data.get("lengths") or {}, dict, "lengths").items():
+            try:
+                task = TaskId.parse(key)
+            except ValueError as exc:
+                raise ValueError(f"lengths: {exc}") from None
+            if task in raw_lengths:
+                raise ValueError(f"lengths names task {task.value} twice")
+            raw_lengths[task] = value
         lengths = {}
         for task in tasks:
-            if task.value in raw_lengths:
+            if task in raw_lengths:
                 name = f"lengths.{task.value}"
-                given = _typed(raw_lengths[task.value], list, name)
-                lengths[task] = [_typed(x, int, f"{name}[{i}]") for i, x in enumerate(given)]
+                given = typed(raw_lengths[task], list, name)
+                lengths[task] = [typed(x, int, f"{name}[{i}]") for i, x in enumerate(given)]
             else:
                 lengths[task] = list(DEFAULT_LENGTHS[task])
         ints = ("instances_per_cell", "master_seed", "workers")
-        given = {name: _typed(data[name], int, name) for name in ints if name in data}
+        given = {name: typed(data[name], int, name) for name in ints if name in data}
         if "kinds" in data:
-            given["kinds"] = [SupervisionKind.parse(k) for k in _typed(data["kinds"], list, "kinds")]
+            given["kinds"] = [SupervisionKind.parse(k) for k in typed(data["kinds"], list, "kinds")]
         if "rendering" in data:
             given["rendering"] = InputRendering.parse(data["rendering"])
         if "backend" in data:
-            given["backend"] = _typed(data["backend"], dict, "backend")
+            given["backend"] = typed(data["backend"], dict, "backend")
         if "completion" in data:
             given["completion"] = CompletionConfig.from_json(data["completion"])
         return ExperimentSpec(tasks, lengths, **given)
@@ -363,7 +372,7 @@ def check_record(data) -> CheckedRecord:
         cell = CellKey.from_json(data)
         raw_instance = data["instance"]
         instance_fields(cell.task, raw_instance["elements"], raw_instance.get("params"))
-        _typed(data["oracle"], ANSWER_TYPES[cell.answer_kind], "oracle")
+        typed(data["oracle"], ANSWER_TYPES[cell.answer_kind], "oracle")
         raw = data["extraction"]
         if not isinstance(raw, dict):
             raise ValueError(f"extraction is a JSON object, not {type(raw).__name__}")

@@ -389,14 +389,19 @@ def _split_at_marker(elements: Sequence[str]) -> tuple[tuple[str, ...], tuple[st
     return tuple(elements[:mid]), tuple(elements[mid + 1 :])
 
 
+# The longest payload brute_force_oracle solves: several of its solvers run
+# in quadratic time or worse.
+BRUTE_FORCE_MAX_LENGTH = 20
+
+
 def brute_force_oracle(task: TaskId, instance: TaskInstance) -> Answer:
     """Recompute the answer by a structurally different naive method.
 
-    Used only for cross-checking oracle_solve; refuses payloads over 20
-    symbols since several of these run in quadratic time or worse.
+    Used only for cross-checking oracle_solve; InstanceTooLarge for a
+    payload over ``BRUTE_FORCE_MAX_LENGTH`` symbols.
     """
-    if instance.length > 20:
-        raise InstanceTooLarge(f"naive solver capped at length 20, got {instance.length}")
+    if instance.length > BRUTE_FORCE_MAX_LENGTH:
+        raise InstanceTooLarge(f"naive solver capped at length {BRUTE_FORCE_MAX_LENGTH}, got {instance.length}")
     elements = list(instance.elements)
 
     if task is TaskId.PARITY_CHECK:

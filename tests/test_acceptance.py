@@ -16,7 +16,7 @@ from math import factorial
 import pytest
 
 from cotbench.backends import CompletionConfig, CorruptingBackend, OracleEchoBackend, make_backend
-from cotbench.complexity import PromptSpaceParams, answer_space_census, template_count
+from cotbench.complexity import answer_space_census, template_count
 from cotbench.extraction import ExtractedAnswer, Verdict, extract_result, score
 from cotbench.prompts import SupervisionKind, get_template, render_prompt
 from cotbench.runner import (
@@ -225,7 +225,7 @@ def test_criterion_5_determinism_and_resume(grid_dir):
 
 def test_criterion_6_complexity_formulas():
     with criterion(6, "complexity formulas"):
-        count = lambda n, s: template_count(PromptSpaceParams(n, s))
+        count = template_count
         for n in range(1, 201):
             for s in range(1, n):
                 assert count(n, s) == count(n, n - s)

@@ -630,7 +630,7 @@ def test_replay_does_not_serve_a_call_that_ended_in_an_error(tmp_path):
 
 class TestFactory:
     def test_echo(self):
-        assert make_backend({"kind": "echo"}).name == "echo"
+        assert isinstance(make_backend({"kind": "echo"}), OracleEchoBackend)
 
     def test_corrupt(self):
         backend = make_backend({"kind": "corrupt", "p": 0.3, "seed": 2})
@@ -652,6 +652,33 @@ class TestFactory:
     def test_replay_needs_store(self):
         with pytest.raises(ValueError):
             make_backend({"kind": "replay"})
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "corrupt", "p": "0.3"}, 'backend.p must be a number, not "0.3"'),
+            ({"kind": "corrupt", "p": True}, "backend.p must be a number, not true"),
+            ({"kind": "corrupt", "seed": 1.5}, "backend.seed must be an integer, not 1.5"),
+            ({"kind": "replay", "store": 5}, "backend.store must be a string, not 5"),
+            ({"kind": "live", "api_key": "k", "base_url": 80}, "backend.base_url must be a string, not 80"),
+            ({"kind": "live", "api_key": ["k"]}, 'backend.api_key must be a string, not ["k"]'),
+        ],
+        ids=["text-p", "bool-p", "number-seed", "number-store", "number-base-url", "list-api-key"],
+    )
+    def test_field_of_wrong_type(self, spec, message):
+        with pytest.raises(TypeError) as exc:
+            make_backend(spec)
+        assert str(exc.value) == message
+
+    def test_null_fields_take_their_defaults(self):
+        backend = make_backend({"kind": "corrupt", "p": None, "seed": None})
+        assert (backend.p, backend.seed) == (0.0, 0)
+        with pytest.raises(ValueError, match="needs a 'store'"):
+            make_backend({"kind": "replay", "store": None})
+
+    def test_unknown_fields_are_ignored(self):
+        spec = {"kind": "live", "api_key": "k", "base_url": "http://127.0.0.1:1", "max_concurrency": 2}
+        assert isinstance(make_backend(spec), LiveBackend)
 
     def test_unknown(self):
         with pytest.raises(ValueError):

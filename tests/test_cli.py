@@ -77,6 +77,25 @@ class TestValidateOracles:
         assert code == 0
         assert "0 disagreements" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-length", "-1", "--samples", "-5"], "--max-length must be in 1..20, got -1"),
+            (["--max-length", "0"], "--max-length must be in 1..20, got 0"),
+            # brute_force_oracle refuses a payload over 20 symbols
+            (["--max-length", "21", "--samples", "1"], "--max-length must be in 1..20, got 21"),
+            (["--max-length", "4", "--samples", "0"], "--samples must be positive, got 0"),
+        ],
+        ids=["negative", "zero-length", "past-naive-cap", "zero-samples"],
+    )
+    def test_arguments_that_check_nothing_or_crash_are_usage_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "validate-oracles", *argv)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+    def test_smallest_arguments_check_something(self, capsys):
+        code, out, _ = run_cli(capsys, "validate-oracles", "--max-length", "1", "--samples", "1")
+        assert (code, out) == (0, "checked 13 instances, 0 disagreements\n")
+
 
 class TestShowPrompt:
     def test_supervised_even_pairs_anchor(self, capsys):
@@ -368,6 +387,44 @@ class TestRunReportCompare:
         assert code == 2
         assert f"bad spec file: {spec} holds no experiment spec: TypeError" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "backend, message",
+        [
+            ({"kind": "corrupt", "p": "0.3"}, 'backend.p must be a number, not "0.3"'),
+            ({"kind": "replay", "store": 5}, "backend.store must be a string, not 5"),
+        ],
+        ids=["text-p", "number-store"],
+    )
+    def test_backend_field_of_wrong_type_is_usage_error(self, tmp_path, capsys, backend, message):
+        spec = self.write_spec(tmp_path / "spec.json", backend=backend)
+        code, out, err = run_cli(capsys, "run", "--spec", str(spec), "--out", str(tmp_path / "run"))
+        assert (code, out, err) == (2, "", f"backend error: {message}\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_lengths_key_is_read_as_a_task_name(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path / "spec.json", tasks=["PC"], lengths={"PC": [10]}, instances_per_cell=2)
+        run_dir = tmp_path / "run"
+        assert run_cli(capsys, "run", "--spec", str(spec), "--out", str(run_dir))[0] == 0
+        assert sorted(path.name for path in (run_dir / "records").iterdir()) == [
+            f"pc.10.{kind}.list.jsonl" for kind in ("base", "cot", "scot-sub", "scot")
+        ]
+        assert json.loads((run_dir / "spec.json").read_text())["lengths"] == {"pc": [10]}
+
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            ({"pc": [20], "xx": [10]}, "ValueError: lengths: unknown task 'xx'"),
+            ({"pc": [20], " PC ": [10]}, "ValueError: lengths names task pc twice"),
+        ],
+        ids=["unknown-task", "one-task-twice"],
+    )
+    def test_bad_lengths_key_is_usage_error(self, tmp_path, capsys, lengths, message):
+        spec = self.write_spec(tmp_path / "spec.json", tasks=["pc"], lengths=lengths)
+        code, out, err = run_cli(capsys, "run", "--spec", str(spec), "--out", str(tmp_path / "run"))
+        assert (code, out) == (2, "")
+        assert err == f"bad spec file: {spec} holds no experiment spec: {message}\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("which", ["a", "b", "both"])

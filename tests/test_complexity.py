@@ -10,10 +10,10 @@ from math import factorial
 import pytest
 
 from cotbench.complexity import (
+    DEFAULT_CANDIDATE_MODELS,
     AnswerSpaceCensus,
     CandidateModel,
     InvalidParams,
-    PromptSpaceParams,
     answer_space_census,
     density_report,
     reference_instance,
@@ -22,6 +22,7 @@ from cotbench.complexity import (
 from cotbench.tasks import (
     ALPHABETS,
     ANSWER_KINDS,
+    ANSWER_TYPES,
     PALINDROME_MARKER,
     AnswerKind,
     TaskId,
@@ -31,8 +32,7 @@ from cotbench.tasks import (
 )
 
 
-def count(n, s):
-    return template_count(PromptSpaceParams(n, s))
+count = template_count
 
 
 class TestTemplateCount:
@@ -70,8 +70,8 @@ class TestTemplateCount:
 
     @pytest.mark.parametrize("n,s", [(0, 1), (5, 0), (5, 6), (-1, -1)])
     def test_invalid_params(self, n, s):
-        with pytest.raises(InvalidParams):
-            PromptSpaceParams(n, s)
+        with pytest.raises(InvalidParams, match=f"need 0 < s <= n, got n={n}, s={s}"):
+            template_count(n, s)
 
 
 class TestCensus:
@@ -129,24 +129,20 @@ class TestCensus:
         b = answer_space_census(TaskId.SORTING_LIST, 5)
         assert a == b
 
-    @pytest.mark.parametrize("task", [t for t in TaskId if ANSWER_KINDS[t] is not AnswerKind.TEXT])
-    def test_strings_refused_for_non_text_answers(self, task):
-        with pytest.raises(InvalidParams):
-            answer_space_census(task, 4, model=CandidateModel.ALPHABET_STRINGS)
-
     def test_generated_instance_census(self):
         inst = generate_instance(TaskId.CYCLE_NAVIGATION, 10, seed_path="census/cn")
         census = answer_space_census(TaskId.CYCLE_NAVIGATION, instance=inst)
         assert census.density == Fraction(1, 5)
 
 
-def enumerated_census(instance, model: CandidateModel) -> tuple[int, int]:
-    """(total, correct) by listing every candidate answer and comparing it to the oracle."""
+def enumerated_census(instance) -> tuple[int, int]:
+    """(total, correct) by listing each candidate of the task's model and comparing it to the oracle."""
+    model = DEFAULT_CANDIDATE_MODELS[instance.task]
     target = oracle_solve(instance.task, instance)
     if model is CandidateModel.BOOLEAN:
         candidates = [True, False]
     elif model is CandidateModel.CYCLE_POSITIONS:
-        candidates = range(instance.params.get("modulus", 5))
+        candidates = range(instance.params["modulus"])
     elif model is CandidateModel.COUNT_RANGE:
         candidates = range(instance.length)
     elif model is CandidateModel.PERMUTATIONS:
@@ -176,11 +172,8 @@ ENUMERATION_BUDGET = 10**5  # candidates listed per case, to keep the suite fast
 @pytest.mark.parametrize("task", list(TaskId))
 def test_closed_form_matches_enumeration(task):
     rng = random.Random(f"census/{task.value}")
-    # strings are candidates only for a text answer
-    strings = CandidateModel.ALPHABET_STRINGS
-    text_answer = ANSWER_KINDS[task] is AnswerKind.TEXT
-    models = {m for m in CandidateModel if text_answer or m is not strings}
-    checked = set()
+    strings = DEFAULT_CANDIDATE_MODELS[task] is CandidateModel.ALPHABET_STRINGS
+    checked = 0
     for length in range(2, 8):
         if task in (TaskId.PALINDROME_VERIFICATION, TaskId.EQUAL_NUMBER) and length % 2:
             continue
@@ -190,17 +183,31 @@ def test_closed_form_matches_enumeration(task):
         ]
         instances.append(repeated_letter_instance(task, length, rng))
         for instance in instances:
-            answer_length = len(oracle_solve(task, instance)) if text_answer else 0
-            for model in models:
-                if model is strings and len(set(instance.elements)) ** answer_length > ENUMERATION_BUDGET:
-                    continue
-                census = answer_space_census(task, instance=instance, model=model)
-                assert (census.total, census.correct) == enumerated_census(instance, model), (
-                    instance.elements,
-                    model,
-                )
-                checked.add(model)
-    assert checked == models
+            if strings and len(set(instance.elements)) ** len(oracle_solve(task, instance)) > ENUMERATION_BUDGET:
+                continue
+            census = answer_space_census(task, instance=instance)
+            assert census.model is DEFAULT_CANDIDATE_MODELS[task]
+            assert (census.total, census.correct) == enumerated_census(instance), instance.elements
+            checked += 1
+    assert checked
+
+
+# The answer kind of each candidate model's members.
+CANDIDATE_ANSWER_KINDS = {
+    CandidateModel.BOOLEAN: AnswerKind.BOOL,
+    CandidateModel.CYCLE_POSITIONS: AnswerKind.INT,
+    CandidateModel.COUNT_RANGE: AnswerKind.INT,
+    CandidateModel.PERMUTATIONS: AnswerKind.TEXT,
+    CandidateModel.ALPHABET_STRINGS: AnswerKind.TEXT,
+}
+
+
+@pytest.mark.parametrize("task", list(TaskId))
+def test_candidate_model_fits_the_answer_kind(task):
+    # the census reads the oracle as its model's type: a bool, an int in range, or text
+    assert CANDIDATE_ANSWER_KINDS[DEFAULT_CANDIDATE_MODELS[task]] is ANSWER_KINDS[task]
+    instance = generate_instance(task, 10, seed_path=f"census/kind/{task.value}")
+    assert type(oracle_solve(task, instance)) is ANSWER_TYPES[ANSWER_KINDS[task]]
 
 
 class TestDensityReport:

@@ -176,6 +176,26 @@ class TestSpec:
         spec = ExperimentSpec.from_json({"tasks": ["ep"], "master_seed": 1})
         assert spec.lengths[TaskId.EVEN_PAIRS] == list(DEFAULT_LENGTHS[TaskId.EVEN_PAIRS])
 
+    def test_lengths_keys_are_read_as_task_names(self):
+        canonical = ExperimentSpec.from_json({"tasks": ["pc", "ep"], "lengths": {"pc": [10], "ep": [12]}})
+        spelled = ExperimentSpec.from_json({"tasks": ["PC", "ep"], "lengths": {"PC": [10], "even_pairs": [12]}})
+        assert spelled.to_json() == canonical.to_json()
+        assert canonical.lengths == {TaskId.PARITY_CHECK: [10], TaskId.EVEN_PAIRS: [12]}
+
+    def test_lengths_of_an_unlisted_task_are_allowed(self):
+        spec = ExperimentSpec.from_json({"tasks": ["pc"], "lengths": {"pc": [10], "rl": [4]}})
+        assert spec.to_json()["lengths"] == {"pc": [10]}
+
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [({"zz": [4]}, "lengths: unknown task 'zz'"), ({"pc": [10], "PC": [12]}, "lengths names task pc twice")],
+        ids=["unknown-task", "one-task-twice"],
+    )
+    def test_bad_lengths_keys_are_refused(self, lengths, message):
+        with pytest.raises(ValueError) as exc:
+            ExperimentSpec.from_json({"tasks": ["pc"], "lengths": lengths})
+        assert str(exc.value) == message
+
     def test_fields_left_out_take_their_defaults(self):
         spec = ExperimentSpec.from_json({"tasks": ["pc"]})
         assert json.dumps(spec.to_json()) == (
