@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from cotbench.backends import AuthError, BackendError, ReplayBackend, make_backend
@@ -219,6 +220,26 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def exact_digits():
+    """Lift the interpreter's limit on the digits of an int converted to text, and restore it after.
+
+    Python 3.11 (and 3.10.7 on) refuses to print an int of more than 4,300
+    digits; an interpreter without the limit prints any int.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# the counts are exact at any size, and C(n, s) or a census total can pass the limit
+@exact_digits()
 def cmd_complexity(args) -> int:
     did_something = False
     if args.n is not None or args.s is not None:

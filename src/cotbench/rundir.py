@@ -5,8 +5,9 @@ A run is a directory: ``spec.json`` freezes the experiment definition,
 ``table.json`` / ``table.txt`` hold the aggregates.  Records are keyed by
 (cell, index) so interrupted runs resume without duplicating work.  The
 record format is written down twice, once per direction: a run writes each
-line through ``record_appender`` from the encoded instance part
-(``encode_shared``) and the call's ``record_tail``, and ``check_record``
+line through ``record_appender``, which splices the encoded instance part
+(``encode_shared``) and the JSON text of the call's ``record_tail`` into
+the line and appends it to the cell file as bytes, and ``check_record``
 decides whether a line holds a record.  A resume, a report and a replay
 all read a record's key, outcome and transcript from the ``CheckedRecord``
 that check returns.  A report reads the records one cell file at a time,
@@ -21,11 +22,13 @@ the one ``cotbench run --spec`` is given alike.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -53,8 +56,9 @@ GENERATOR = 3
 
 SPEC_FILE = "spec.json"
 
-# One encoder for every record line: json.dumps given an option builds a new
-# encoder on each call.  Its output is json.dumps(..., ensure_ascii=False).
+# One encoder for the parts of a record line that are encoded once per cell
+# and once per instance: json.dumps given an option builds a new encoder on
+# each call.  Its output is json.dumps(..., ensure_ascii=False).
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 # The decoder json.loads uses.  A record line is stripped before it is
@@ -284,6 +288,18 @@ def encode_shared(instance: TaskInstance, oracle: Answer) -> str:
     })
 
 
+def _answer_json(value: Answer) -> str:
+    """An extracted value's JSON text, by its exact type; TypeError for a type no answer has."""
+    kind = type(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return encode_basestring(value)
+    raise TypeError(f"an answer is a bool, an int or a str, not {kind.__name__}")
+
+
 def record_tail(
     prompt_sha256: str,
     transcript: str,
@@ -293,28 +309,31 @@ def record_tail(
     error_detail: str,
     latency_s: float,
     attempts: int,
-) -> dict:
-    """What one call produced, from the prompt's hash on, stamped with the time it is built."""
+) -> str:
+    """What one call produced, from the prompt's hash on, stamped with the time it is built.
+
+    It comes back as the record's members in JSON text, without braces, as
+    ``json.dumps(..., ensure_ascii=False)`` writes them: each string through
+    the encoder's own ``encode_basestring``, a number as its ``repr``.
+    """
     if isinstance(extraction, ExtractedAnswer):
-        raw = {
-            "ok": True,
-            "value": extraction.value,
-            "raw_span": extraction.raw_span,
-            "position": extraction.position,
-        }
+        raw = (
+            f'{{"ok": true, "value": {_answer_json(extraction.value)}, '
+            f'"raw_span": {encode_basestring(extraction.raw_span)}, "position": {extraction.position!r}}}'
+        )
     else:
-        raw = {"ok": False, "reason": extraction.reason.value, "detail": extraction.detail}
-    return {
-        "prompt_sha256": prompt_sha256,
-        "transcript": transcript,
-        "extraction": raw,
-        "verdict": verdict.value,
-        "error": error,
-        "error_detail": error_detail,
-        "latency_s": latency_s,
-        "attempts": attempts,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
+        raw = (
+            f'{{"ok": false, "reason": {encode_basestring(extraction.reason.value)}, '
+            f'"detail": {encode_basestring(extraction.detail)}}}'
+        )
+    # an ISO timestamp holds nothing a JSON string escapes
+    return (
+        f'"prompt_sha256": {encode_basestring(prompt_sha256)}, "transcript": {encode_basestring(transcript)}, '
+        f'"extraction": {raw}, "verdict": {encode_basestring(verdict.value)}, '
+        f'"error": {"null" if error is None else encode_basestring(error)}, '
+        f'"error_detail": {encode_basestring(error_detail)}, "latency_s": {latency_s!r}, '
+        f'"attempts": {attempts!r}, "timestamp": "{datetime.now(timezone.utc).isoformat()}"'
+    )
 
 
 class CheckedRecord(NamedTuple):
@@ -388,17 +407,17 @@ def check_record(data) -> CheckedRecord:
         raise ValueError(f"malformed record: {exc}") from exc
 
 
-def _record_line(cell_json: str, index: int, shared_json: str, tail: dict) -> str:
+def _record_line(cell_json: str, index: int, shared_json: str, tail: str) -> str:
     """One record's line, ``json.dumps`` of its object with ``ensure_ascii=False``, and a newline.
 
     The object is three parts in a row: the cell's fields and the index,
-    the part shared by the kinds of one instance and the call's tail
-    (``record_tail``).  ``cell_json`` and ``shared_json`` are encoded once
-    per cell and once per instance.
+    the part shared by the kinds of one instance and the call's members
+    (``record_tail``), each spliced in as JSON text.  ``cell_json`` and
+    ``shared_json`` are encoded once per cell and once per instance.
     """
     # an index is an int, whose JSON is its repr; json.dumps separates
     # members with ", ", which joins the encoded objects' members too
-    return f'{cell_json[:-1]}, "index": {index!r}, {shared_json[1:-1]}, {_ENCODER.encode(tail)[1:]}\n'
+    return f'{cell_json[:-1]}, "index": {index!r}, {shared_json[1:-1]}, {tail}}}\n'
 
 
 def records_dir(run_dir: Path) -> Path:
@@ -511,29 +530,50 @@ def load_records(run_dir: str | Path) -> Iterator[CheckedRecord]:
             yield records.pop(index)
 
 
+def _ends_in_torn_line(path: Path) -> bool:
+    """Whether the file at ``path`` holds bytes after its last newline; only its last byte is read.
+
+    A missing or empty file holds no torn line.
+    """
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return False
+    with fh:
+        size = fh.seek(0, os.SEEK_END)
+        if not size:
+            return False
+        fh.seek(size - 1)
+        return fh.read(1) != b"\n"
+
+
 @contextmanager
-def record_appender(run_dir: Path) -> Iterator[Callable[[CellKey, int, str, dict], None]]:
+def record_appender(run_dir: Path) -> Iterator[Callable[[CellKey, int, str, str], None]]:
     """A function ``save(cell, index, shared_json, tail)`` that appends one record to its cell file.
 
-    Each cell file is opened on its first record, and a torn final line
-    that a crash left in it is ended first, so appended records stay
-    parseable.  Each record is flushed as it is written.  Every handle is
-    closed on leaving the block.
+    ``tail`` is ``record_tail``'s text.  Each cell file is opened for binary
+    append on its first record, and a torn final line that a crash left in
+    it is ended first, so appended records stay parseable.  Each record's
+    line is written as UTF-8 bytes and flushed as it is written.  Every
+    handle is closed on leaving the block.
     """
     # by cell label: the cell file's append handle and the encoded cell fields
     files: dict[str, tuple] = {}
 
-    def save(cell: CellKey, index: int, shared_json: str, tail: dict) -> None:
+    def save(cell: CellKey, index: int, shared_json: str, tail: str) -> None:
         entry = files.get(cell.label)
         if entry is None:
             path = cell_file(run_dir, cell)
-            needs_newline = path.exists() and path.stat().st_size > 0 and not path.read_bytes().endswith(b"\n")
-            handle = open(path, "a", encoding="utf-8")
-            if needs_newline:
-                handle.write("\n")
+            torn = _ends_in_torn_line(path)
+            handle = open(path, "ab")
+            if torn:
+                handle.write(b"\n")
             entry = files[cell.label] = (handle, _ENCODER.encode(cell.to_json()))
         handle, cell_json = entry
-        handle.write(_record_line(cell_json, index, shared_json, tail))
+        # a lone surrogate, which a transcript decoded from a JSON escape such
+        # as "\ud83d" holds, has no UTF-8 form: it is written as that escape
+        # again, which decodes back to the same string
+        handle.write(_record_line(cell_json, index, shared_json, tail).encode("utf-8", "backslashreplace"))
         # a killed run keeps every record saved so far
         handle.flush()
 

@@ -96,8 +96,8 @@ def _execute_call(
     cell: CellKey,
     instance: TaskInstance,
     oracle: Answer,
-) -> dict:
-    """Make one call and score it; the record tail of what it produced."""
+) -> str:
+    """Make one call and score it; the record tail of what it produced, as JSON text."""
     prompt = render_prompt(get_template(cell.task, cell.kind), instance, cell.rendering)
 
     start = time.monotonic()

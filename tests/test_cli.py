@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
+import sys
 
 import pytest
 
-from cotbench.cli import main
+from cotbench.cli import exact_digits, main
+from cotbench.complexity import answer_space_census
+from cotbench.tasks import TaskId
 
 
 def run_cli(capsys, *argv):
@@ -473,6 +477,33 @@ class TestComplexityCommand:
     def test_no_action_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "complexity")
         assert code == 2
+
+    @staticmethod
+    def run_past_the_digit_limit(capsys, *argv) -> list[str]:
+        """The lines ``complexity`` prints for numbers of more than 4,300 digits, the
+        interpreter's limit on converting an int to text, which stays in force after."""
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = digit_limit()
+        code, out, err = run_cli(capsys, "complexity", *argv)
+        assert (code, err) == (0, "")
+        assert digit_limit() == limit
+        return out.splitlines()
+
+    def test_template_count_past_the_digit_limit(self, capsys):
+        (line,) = self.run_past_the_digit_limit(capsys, "--n", "20000", "--s", "10000")
+        with exact_digits():
+            expected = str(math.comb(20000, 10000))
+        assert len(expected) > 4300
+        assert line == f"template_count(n=20000, s=10000) = {expected}"
+
+    def test_census_past_the_digit_limit(self, capsys):
+        lines = self.run_past_the_digit_limit(capsys, "--tasks", "dl", "--lengths", "8000")
+        census = answer_space_census(TaskId.DUPLICATE_LIST, 8000)
+        with exact_digits():
+            total = str(census.total)
+            density = f"{census.density.numerator}/{census.density.denominator}"
+        assert len(total) > 4300
+        assert lines[2].split() == ["DL", "8000", census.model.value, str(census.correct), total, density]
 
 
 class TestHelp:

@@ -10,8 +10,11 @@ import time
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from cotbench import rundir, runner
@@ -25,7 +28,14 @@ from cotbench.backends import (
     RateLimited,
     ReplayBackend,
 )
-from cotbench.extraction import FailureReason, Verdict, extract_result, score
+from cotbench.extraction import (
+    ExtractedAnswer,
+    ExtractionFailure,
+    FailureReason,
+    Verdict,
+    extract_result,
+    score,
+)
 from cotbench.prompts import SupervisionKind
 from cotbench.runner import (
     AccuracyTable,
@@ -48,6 +58,8 @@ from cotbench.tasks import (
     InputRendering,
     MalformedInstance,
     TaskId,
+    generate_instance,
+    oracle_solve,
 )
 
 from conftest import keyed_records
@@ -954,6 +966,152 @@ class TestRecordLines:
             return out
 
         assert without_timing(runs[1]) == without_timing(runs[2])
+
+
+# text that JSON escapes or that json.dumps(..., ensure_ascii=False) writes raw:
+# quotes, backslashes, control characters, U+2028, a non-BMP character and a
+# lone surrogate, mixed with any other character
+TAIL_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\U0001F600", "\ud83d"]),
+        st.characters(exclude_categories=["Cs"]),
+    )
+)
+TAIL_EXTRACTIONS = st.one_of(
+    st.builds(
+        ExtractedAnswer,
+        raw_span=TAIL_TEXT,
+        value=st.one_of(st.booleans(), st.integers(min_value=-10**40, max_value=10**40), TAIL_TEXT),
+        position=st.integers(min_value=0, max_value=10**9),
+    ),
+    st.builds(ExtractionFailure, reason=st.sampled_from(FailureReason), detail=TAIL_TEXT),
+)
+TAIL_LATENCIES = st.one_of(
+    st.sampled_from([0.0, 1e-05, 12345.678]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def pc_parts(index: int = 0) -> tuple[CellKey, str]:
+    """A Parity Check cell and the encoded shared part of its instance at ``index``."""
+    cell = CellKey(TaskId.PARITY_CHECK, 6, SupervisionKind.BASE, InputRendering.LIST_FIED)
+    instance = generate_instance(cell.task, cell.length, seed_path=runner.instance_seed_path(0, cell.task, 6, index))
+    return cell, rundir.encode_shared(instance, oracle_solve(cell.task, instance))
+
+
+class TestRecordTail:
+    """``record_tail`` writes the call's members as the JSON text json.dumps would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prompt_sha256=TAIL_TEXT,
+        transcript=TAIL_TEXT,
+        extraction=TAIL_EXTRACTIONS,
+        verdict=st.sampled_from(Verdict),
+        error=st.one_of(st.none(), TAIL_TEXT),
+        error_detail=TAIL_TEXT,
+        latency_s=TAIL_LATENCIES,
+        attempts=st.integers(min_value=1, max_value=10),
+        index=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_line_is_json_dumps_and_decodes_to_the_inputs(
+        self, prompt_sha256, transcript, extraction, verdict, error, error_detail, latency_s, attempts, index
+    ):
+        cell, shared_json = pc_parts()
+        tail = rundir.record_tail(
+            prompt_sha256, transcript, extraction, verdict, error, error_detail, latency_s, attempts
+        )
+        line = rundir._record_line(json.dumps(cell.to_json(), ensure_ascii=False), index, shared_json, tail)
+        assert line.endswith("}\n") and line.count("\n") == 1
+        data = json.loads(line)
+        assert line[:-1] == json.dumps(data, ensure_ascii=False)
+        assert list(data) == RECORD_KEYS
+        if isinstance(extraction, ExtractedAnswer):
+            raw = {"ok": True, "value": extraction.value, "raw_span": extraction.raw_span,
+                   "position": extraction.position}
+            assert type(data["extraction"]["value"]) is type(extraction.value)
+        else:
+            raw = {"ok": False, "reason": extraction.reason.value, "detail": extraction.detail}
+        assert data["extraction"] == raw
+        assert list(data["extraction"]) == list(raw)
+        timestamp = data.pop("timestamp")
+        assert datetime.fromisoformat(timestamp).tzinfo == timezone.utc
+        assert {key: data[key] for key in RECORD_KEYS[:7]} == {
+            **cell.to_json(), "index": index, **json.loads(shared_json)
+        }
+        assert {key: data[key] for key in RECORD_KEYS[7:-1]} == {
+            "prompt_sha256": prompt_sha256, "transcript": transcript, "extraction": raw,
+            "verdict": verdict.value, "error": error, "error_detail": error_detail,
+            "latency_s": latency_s, "attempts": attempts,
+        }
+        assert type(data["latency_s"]) is float
+
+
+class TestRecordAppender:
+    """``record_appender`` ends a torn final line before it appends, reading the last byte alone."""
+
+    @pytest.mark.parametrize(
+        "before,kept",
+        [
+            pytest.param(None, b"", id="missing"),
+            pytest.param(b"", b"", id="empty"),
+            pytest.param(b"\n", b"\n", id="one-newline"),
+            pytest.param(b"{", b"{\n", id="one-byte-torn"),
+            pytest.param(b'{"a": 1}\n', b'{"a": 1}\n', id="ends-in-newline"),
+            pytest.param(b'{"a": 1}\n{"torn": ', b'{"a": 1}\n{"torn": \n', id="torn"),
+        ],
+    )
+    def test_torn_final_line_is_ended_first(self, tmp_path, before, kept):
+        cell, shared_json = pc_parts()
+        path = rundir.cell_file(tmp_path, cell)
+        path.parent.mkdir()
+        if before is not None:
+            path.write_bytes(before)
+        tail = rundir.record_tail("0" * 64, "{'Result': True}", ExtractedAnswer("True", True, 11),
+                                  Verdict.CORRECT, None, "", 0.5, 1)
+        with rundir.record_appender(tmp_path) as save:
+            save(cell, 0, shared_json, tail)
+            save(cell, 1, shared_json, tail)
+        lines = [rundir._record_line(json.dumps(cell.to_json()), i, shared_json, tail).encode() for i in (0, 1)]
+        assert path.read_bytes() == kept + b"".join(lines)
+        assert sorted(rundir.scan_cell_file(path, 2)) == [0, 1]
+
+
+class SurrogateBackend(OracleEchoBackend):
+    """Echo backend whose transcripts hold a lone surrogate, as json.loads decodes a "\\ud83d" escape."""
+
+    PREFIX = json.loads('"Denke nach \\ud83d: "')
+
+    def complete(self, prompt, cfg, context=None):
+        return Completion(self.PREFIX + super().complete(prompt, cfg, context).text)
+
+
+class TestLoneSurrogate:
+    """A transcript holding a lone surrogate is saved as its JSON escape, and reads back the same."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_saves_report_counts_and_replay_serves_it(self, tmp_path, workers):
+        assert SurrogateBackend.PREFIX.endswith("\ud83d: ")
+        spec = small_spec()
+        run_dir = run_experiment(spec, SurrogateBackend(), tmp_path / "run", workers=workers)
+        text = "".join(path.read_text(encoding="utf-8") for path in (run_dir / "records").glob("*.jsonl"))
+        assert text.count("\\ud83d") == 40
+        records = keyed_records(run_dir)
+        assert len(records) == 40
+        for record in records.values():
+            rundir.check_record(record.data)
+            assert record.data["transcript"].startswith(SurrogateBackend.PREFIX)
+            assert record.verdict is Verdict.CORRECT
+        table = aggregate(run_dir, write=False)
+        assert sum(stats.n_correct for stats in table.cells) == 40
+        served = {record.data["prompt_sha256"]: record.data["transcript"] for record in records.values()}
+        replay = ReplayBackend.from_run(run_dir)
+        assert replay.transcripts == served
+        replayed = run_experiment(spec, replay, tmp_path / "replayed", workers=workers)
+        assert {key: r.data["transcript"] for key, r in keyed_records(replayed).items()} == {
+            key: r.data["transcript"] for key, r in records.items()
+        }
+        assert aggregate(replayed, write=False).to_json() == table.to_json()
 
 
 class TestCheckedRecords:
