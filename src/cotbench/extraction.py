@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from cotbench.tasks import Answer, AnswerKind
+from cotbench.tasks import Answer
 
 # A result dictionary: key 'Result' in single/double/no quotes, value one of
 # a bool literal, an optionally signed integer, or a quoted string.  A quoted
@@ -44,7 +44,7 @@ class FailureReason(Enum):
 
 @dataclass(frozen=True)
 class ExtractedAnswer:
-    """An answer found in a transcript; its value has the type of the kind it was extracted as."""
+    """An answer found in a transcript; its value has the type it was extracted as."""
 
     raw_span: str
     value: Answer
@@ -57,29 +57,40 @@ class ExtractionFailure:
     detail: str = ""
 
 
-def _coerce(raw: str, kind: AnswerKind) -> Answer | None:
-    """Parse a matched value literal as the expected kind, or None."""
-    if kind is AnswerKind.BOOL:
+# The most digits a result integer may have.  No answer comes near it, and
+# it is the lowest limit an interpreter can set on converting between int
+# and decimal text, so parsing and storing an accepted literal never hits
+# that limit, and every interpreter accepts the same literals.
+MAX_INT_DIGITS = 640
+
+
+def _coerce(raw: str, kind: type) -> Answer | ExtractionFailure:
+    """Parse a matched value literal as a value of type ``kind``; a TypeMismatch if it is none."""
+    found = None
+    if kind is bool:
         if raw in ("True", "true"):
             return True
         if raw in ("False", "false"):
             return False
-        return None
-    if kind is AnswerKind.INT:
+    elif kind is int:
         if re.fullmatch(r"[+-]?\d+", raw):
-            return int(raw)
-        return None
-    if raw[:1] in ("'", '"') and raw[-1:] == raw[:1]:
+            digits = len(raw.lstrip("+-"))
+            if digits <= MAX_INT_DIGITS:
+                return int(raw)
+            found = f"an integer of {digits} digits"
+    elif raw[:1] in ("'", '"') and raw[-1:] == raw[:1]:
         body = raw[1:-1]
         return re.sub(r"\\(.)", r"\1", body) if "\\" in body else body
-    return None
+    return ExtractionFailure(
+        FailureReason.TYPE_MISMATCH, f"expected {kind.__name__}, found {found or repr(raw)}"
+    )
 
 
-def extract_result(transcript: str, kind: AnswerKind) -> ExtractedAnswer | ExtractionFailure:
-    """Extract the concluding result value, typed as ``kind``.
+def extract_result(transcript: str, kind: type) -> ExtractedAnswer | ExtractionFailure:
+    """Extract the concluding result value as a value of type ``kind``, the task's answer type.
 
     The last occurrence that parses as any supported value wins; if that
-    occurrence holds a value of the wrong kind the extraction fails with
+    occurrence holds a value of another type the extraction fails with
     TypeMismatch rather than falling back to an earlier occurrence.
     """
     last = None
@@ -88,11 +99,8 @@ def extract_result(transcript: str, kind: AnswerKind) -> ExtractedAnswer | Extra
     if last is None:
         return ExtractionFailure(FailureReason.NO_RESULT_FOUND)
     value = _coerce(last.group("value"), kind)
-    if value is None:
-        return ExtractionFailure(
-            FailureReason.TYPE_MISMATCH,
-            f"expected {kind.value}, found {last.group('value')!r}",
-        )
+    if isinstance(value, ExtractionFailure):
+        return value
     return ExtractedAnswer(last.group(0), value, last.start())
 
 

@@ -65,7 +65,6 @@ class PromptTemplate:
     task: TaskId
     kind: SupervisionKind
     body: str
-    source: str
     # The body split once at its placeholders: literal text at the even
     # positions, placeholder names at the odd ones.
     parts: tuple[str, ...] = field(init=False, repr=False, compare=False)
@@ -88,8 +87,8 @@ class RenderedPrompt:
         return prompt_sha256(self.text)
 
 
-def _template_path(task: TaskId, kind: SupervisionKind) -> Path:
-    return TEMPLATE_DIR / f"{task.value}.{kind.value}.prompt"
+def _read_body(name: str) -> str:
+    return (TEMPLATE_DIR / name).read_text(encoding="utf-8").rstrip("\n")
 
 
 @lru_cache(maxsize=1)
@@ -100,30 +99,31 @@ def load_manifest() -> dict:
 
 @lru_cache(maxsize=1)
 def _registry() -> dict[tuple[TaskId, SupervisionKind], PromptTemplate]:
-    """The 36 templates, loaded once per process and refused if any drifted from the manifest."""
-    drifted = verify_manifest()
-    if drifted:
-        raise PromptError(f"templates drifted from the manifest: {', '.join(drifted)}")
+    """The 36 templates, loaded once per process, each body read once and checked against the manifest.
+
+    A template whose hash drifted from its manifest entry, or that has no
+    entry, is refused.
+    """
     manifest = load_manifest()
     registry = {}
+    refused = []
     for task in TaskId:
         for kind in SupervisionKind:
-            path = _template_path(task, kind)
-            body = path.read_text(encoding="utf-8").rstrip("\n")
-            entry = manifest.get(path.name, {})
-            registry[(task, kind)] = PromptTemplate(task, kind, body, entry.get("source", ""))
+            name = f"{task.value}.{kind.value}.prompt"
+            body = _read_body(name)
+            entry = manifest.get(name)
+            if entry is None or prompt_sha256(body) != entry["sha256"]:
+                refused.append(name)
+            registry[(task, kind)] = PromptTemplate(task, kind, body)
+    if refused:
+        raise PromptError(f"templates drifted from the manifest or missing from it: {', '.join(refused)}")
     return registry
 
 
 def verify_manifest() -> list[str]:
     """Return a list of template files whose content hash drifted."""
     manifest = load_manifest()
-    drifted = []
-    for name, entry in manifest.items():
-        body = (TEMPLATE_DIR / name).read_text(encoding="utf-8").rstrip("\n")
-        if hashlib.sha256(body.encode("utf-8")).hexdigest() != entry["sha256"]:
-            drifted.append(name)
-    return drifted
+    return [name for name, entry in manifest.items() if prompt_sha256(_read_body(name)) != entry["sha256"]]
 
 
 def get_template(task: TaskId, kind: SupervisionKind) -> PromptTemplate:
@@ -161,16 +161,3 @@ def render_prompt(
             pieces[i] = str(instance.params["letter"])
     return RenderedPrompt("".join(pieces))
 
-
-__all__ = [
-    "PromptTemplate",
-    "RenderedPrompt",
-    "SupervisionKind",
-    "TaskMismatch",
-    "all_templates",
-    "get_template",
-    "load_manifest",
-    "prompt_sha256",
-    "render_prompt",
-    "verify_manifest",
-]

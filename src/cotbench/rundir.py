@@ -35,11 +35,9 @@ from typing import Callable, Iterator, NamedTuple
 from cotbench.extraction import ExtractedAnswer, ExtractionFailure, FailureReason, Verdict
 from cotbench.prompts import SupervisionKind
 from cotbench.tasks import (
-    ANSWER_KINDS,
     ANSWER_TYPES,
     DEFAULT_LENGTHS,
     Answer,
-    AnswerKind,
     InputRendering,
     MalformedInstance,
     TaskId,
@@ -140,9 +138,9 @@ class CellKey:
         return f"{self.task.value}.{self.length}.{self.kind.value}.{self.rendering.value}"
 
     @cached_property
-    def answer_kind(self) -> AnswerKind:
-        """The kind of answer the cell's task has; kept on the key, which records of one cell share."""
-        return ANSWER_KINDS[self.task]
+    def answer_type(self) -> type:
+        """The type of the cell's task's answers; kept on the key, which records of one cell share."""
+        return ANSWER_TYPES[self.task]
 
     @property
     def sort_key(self):
@@ -374,9 +372,8 @@ def check_record(data) -> CheckedRecord:
       length and an index that ``int()`` accepts;
     - its instance passes ``instance_fields``: the symbols are in the
       task's alphabet, and a palindrome has one marker, at its centre;
-    - its oracle is a value of the JSON type ``ANSWER_TYPES`` gives the
-      task's answer kind: a boolean, an integer (not ``true``, not ``1.0``)
-      or a string;
+    - its oracle is a value of the type ``ANSWER_TYPES`` gives the task:
+      a boolean, an integer (not ``true``, not ``1.0``) or a string;
     - its extraction is an object holding ``raw_span``, ``value`` and
       ``position`` if ``ok``, and a known failure ``reason`` if not;
     - it holds a ``prompt_sha256``, a ``transcript`` and a known verdict.
@@ -391,7 +388,7 @@ def check_record(data) -> CheckedRecord:
         cell = CellKey.from_json(data)
         raw_instance = data["instance"]
         instance_fields(cell.task, raw_instance["elements"], raw_instance.get("params"))
-        typed(data["oracle"], ANSWER_TYPES[cell.answer_kind], "oracle")
+        typed(data["oracle"], cell.answer_type, "oracle")
         raw = data["extraction"]
         if not isinstance(raw, dict):
             raise ValueError(f"extraction is a JSON object, not {type(raw).__name__}")

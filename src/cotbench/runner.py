@@ -117,7 +117,7 @@ def _execute_call(
     latency = time.monotonic() - start
 
     if error is None:
-        extraction = extract_result(transcript, cell.answer_kind)
+        extraction = extract_result(transcript, cell.answer_type)
     else:
         extraction = ExtractionFailure(FailureReason.NO_RESULT_FOUND, f"backend error: {error}")
     verdict = score(extraction, oracle)

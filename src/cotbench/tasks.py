@@ -103,28 +103,21 @@ DEFAULT_LENGTHS: dict[TaskId, tuple[int, ...]] = {
 }
 
 
-class AnswerKind(Enum):
-    BOOL = "bool"
-    INT = "int"
-    TEXT = "text"
-
-
-ANSWER_KINDS = {
-    TaskId.PARITY_CHECK: AnswerKind.BOOL,
-    TaskId.EQUAL_NUMBER: AnswerKind.BOOL,
-    TaskId.PALINDROME_VERIFICATION: AnswerKind.BOOL,
-    TaskId.EVEN_PAIRS: AnswerKind.INT,
-    TaskId.CYCLE_NAVIGATION: AnswerKind.INT,
-    TaskId.REVERSE_LIST: AnswerKind.TEXT,
-    TaskId.ODDS_FIRST: AnswerKind.TEXT,
-    TaskId.SORTING_LIST: AnswerKind.TEXT,
-    TaskId.DUPLICATE_LIST: AnswerKind.TEXT,
-}
-
 # An answer is the JSON value a record stores: a bool, an int that is no
-# bool, or text.  ANSWER_TYPES gives the exact Python type of each kind's answers.
+# bool, or text.  ANSWER_TYPES gives the exact Python type of each task's
+# answers, which extraction parses a result as and a record's oracle holds.
 Answer = bool | int | str
-ANSWER_TYPES = {AnswerKind.BOOL: bool, AnswerKind.INT: int, AnswerKind.TEXT: str}
+ANSWER_TYPES: dict[TaskId, type] = {
+    TaskId.PARITY_CHECK: bool,
+    TaskId.EQUAL_NUMBER: bool,
+    TaskId.PALINDROME_VERIFICATION: bool,
+    TaskId.EVEN_PAIRS: int,
+    TaskId.CYCLE_NAVIGATION: int,
+    TaskId.REVERSE_LIST: str,
+    TaskId.ODDS_FIRST: str,
+    TaskId.SORTING_LIST: str,
+    TaskId.DUPLICATE_LIST: str,
+}
 
 # Letter pools each generator draws from.  Palindrome instances additionally
 # carry exactly one '#' marker that is not part of the pool.
@@ -339,7 +332,7 @@ def _is_prefix_balanced(elements: Sequence[str]) -> bool:
 def oracle_solve(task: TaskId, instance: TaskInstance) -> Answer:
     """The unique correct answer for an instance, as the value a record stores.
 
-    Its type is the one ``ANSWER_TYPES`` gives the task's answer kind.
+    Its type is the one ``ANSWER_TYPES`` gives the task.
     """
     if instance.task is not task:
         raise MalformedInstance(f"instance is for {instance.task.value}, not {task.value}")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,22 @@ def load_case(name: str) -> str:
 @pytest.fixture
 def case_transcripts():
     return {name: load_case(name) for name, *_ in CASE_STUDIES}
+
+
+@pytest.fixture(params=[None, 640], ids=["default-limit", "limit-640"])
+def int_digit_limit(request):
+    """Run the test under the interpreter's default limit on int-to-text digits, and under its lowest."""
+    if request.param is None:
+        yield
+        return
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter sets no limit on int-to-text digits")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def keyed_records(run_dir) -> dict[tuple[str, int], CheckedRecord]:

@@ -27,7 +27,6 @@ from cotbench.runner import (
 from cotbench.tasks import (
     ALPHABETS,
     DEFAULT_LENGTHS,
-    AnswerKind,
     InputRendering,
     TaskId,
     generate_instance,
@@ -79,7 +78,7 @@ def test_criterion_2_golden_case_studies():
             "case_rl_scot": Verdict.CORRECT,
         }
         for name, task, _, expected_value in CASE_STUDIES:
-            kind = AnswerKind.INT if task == "ep" else AnswerKind.TEXT
+            kind = int if task == "ep" else str
             extracted = extract_result(load_case(name), kind)
             assert isinstance(extracted, ExtractedAnswer), name
             assert extracted.value == expected_value, name

@@ -38,7 +38,6 @@ from cotbench.backends import (
 )
 from cotbench.extraction import Verdict, extract_result, score
 from cotbench.tasks import (
-    AnswerKind,
     TaskId,
     generate_instance,
     oracle_solve,
@@ -58,7 +57,7 @@ class TestOracleEcho:
     def test_transcript_concludes_with_oracle(self):
         ctx = context_for(TaskId.EVEN_PAIRS, 10, "echo/ep")
         transcript = OracleEchoBackend().complete("prompt", CFG, ctx).text
-        got = extract_result(transcript, AnswerKind.INT)
+        got = extract_result(transcript, int)
         assert got.value == ctx.oracle
 
     def test_text_answer_quoted(self):
@@ -83,7 +82,7 @@ class TestCorrupting:
         for i in range(50):
             ctx = context_for(TaskId.PARITY_CHECK, 10, f"cor/pc/{i}")
             transcript = backend.complete(f"prompt {i}", CFG, ctx).text
-            verdict = score(extract_result(transcript, AnswerKind.BOOL), ctx.oracle)
+            verdict = score(extract_result(transcript, bool), ctx.oracle)
             assert verdict is Verdict.INCORRECT
 
     def test_quarter_rate_concentrates(self):
@@ -93,7 +92,7 @@ class TestCorrupting:
         ctx = context_for(TaskId.PARITY_CHECK, 10, "cor/fixed")
         for i in range(calls):
             transcript = backend.complete(f"prompt {i}", CFG, ctx).text
-            if score(extract_result(transcript, AnswerKind.BOOL), ctx.oracle) is Verdict.CORRECT:
+            if score(extract_result(transcript, bool), ctx.oracle) is Verdict.CORRECT:
                 correct += 1
         assert 0.73 <= correct / calls <= 0.77
 
@@ -109,7 +108,7 @@ class TestCorrupting:
         for i in range(30):
             ctx = context_for(TaskId.DUPLICATE_LIST, 6, f"cor/dl/{i}")
             transcript = backend.complete(f"prompt {i}", CFG, ctx).text
-            got = extract_result(transcript, AnswerKind.TEXT)
+            got = extract_result(transcript, str)
             assert got.value != ctx.oracle
             assert sorted(got.value) == sorted(ctx.oracle) or len(got.value) == len(ctx.oracle)
 
@@ -565,7 +564,7 @@ def test_preseeded_case_transcripts_replay_to_expected_verdicts():
     replay = ReplayBackend(transcripts, CFG)
     for name, task_code, _, expected_value in CASE_STUDIES:
         task = TaskId.parse(task_code)
-        kind = AnswerKind.INT if task_code == "ep" else AnswerKind.TEXT
+        kind = int if task_code == "ep" else str
         transcript = replay.complete(prompts[name], CFG).text
         extracted = extract_result(transcript, kind)
         verdict = score(extracted, CASE_ORACLES[task_code])

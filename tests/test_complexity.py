@@ -21,10 +21,8 @@ from cotbench.complexity import (
 )
 from cotbench.tasks import (
     ALPHABETS,
-    ANSWER_KINDS,
     ANSWER_TYPES,
     PALINDROME_MARKER,
-    AnswerKind,
     TaskId,
     generate_instance,
     make_instance,
@@ -192,22 +190,22 @@ def test_closed_form_matches_enumeration(task):
     assert checked
 
 
-# The answer kind of each candidate model's members.
-CANDIDATE_ANSWER_KINDS = {
-    CandidateModel.BOOLEAN: AnswerKind.BOOL,
-    CandidateModel.CYCLE_POSITIONS: AnswerKind.INT,
-    CandidateModel.COUNT_RANGE: AnswerKind.INT,
-    CandidateModel.PERMUTATIONS: AnswerKind.TEXT,
-    CandidateModel.ALPHABET_STRINGS: AnswerKind.TEXT,
+# The answer type of each candidate model's members.
+CANDIDATE_ANSWER_TYPES = {
+    CandidateModel.BOOLEAN: bool,
+    CandidateModel.CYCLE_POSITIONS: int,
+    CandidateModel.COUNT_RANGE: int,
+    CandidateModel.PERMUTATIONS: str,
+    CandidateModel.ALPHABET_STRINGS: str,
 }
 
 
 @pytest.mark.parametrize("task", list(TaskId))
-def test_candidate_model_fits_the_answer_kind(task):
+def test_candidate_model_fits_the_answer_type(task):
     # the census reads the oracle as its model's type: a bool, an int in range, or text
-    assert CANDIDATE_ANSWER_KINDS[DEFAULT_CANDIDATE_MODELS[task]] is ANSWER_KINDS[task]
+    assert CANDIDATE_ANSWER_TYPES[DEFAULT_CANDIDATE_MODELS[task]] is ANSWER_TYPES[task]
     instance = generate_instance(task, 10, seed_path=f"census/kind/{task.value}")
-    assert type(oracle_solve(task, instance)) is ANSWER_TYPES[ANSWER_KINDS[task]]
+    assert type(oracle_solve(task, instance)) is ANSWER_TYPES[task]
 
 
 class TestDensityReport:

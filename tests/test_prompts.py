@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import shutil
 
 import pytest
@@ -19,8 +20,7 @@ from cotbench.prompts import (
     verify_manifest,
 )
 from cotbench.tasks import (
-    ANSWER_KINDS,
-    AnswerKind,
+    ANSWER_TYPES,
     InputRendering,
     TaskId,
     generate_instance,
@@ -59,22 +59,34 @@ class TestRegistry:
             assert entry["source"].endswith("-prompts")
             assert len(entry["sha256"]) == 64
 
-    def test_drifted_template_is_refused(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def template_copy(self, tmp_path, monkeypatch):
+        """A copy of the template directory that the registry loads from for the test."""
         copy = tmp_path / "templates"
         shutil.copytree(prompts.TEMPLATE_DIR, copy)
-        edited = copy / "ep.scot.prompt"
-        edited.write_text(edited.read_text(encoding="utf-8") + "One more step.\n", encoding="utf-8")
         monkeypatch.setattr(prompts, "TEMPLATE_DIR", copy)
         prompts.load_manifest.cache_clear()
         prompts._registry.cache_clear()
-        try:
-            with pytest.raises(PromptError, match="ep.scot.prompt"):
-                get_template(TaskId.EVEN_PAIRS, SupervisionKind.BASE)
-        finally:
-            monkeypatch.undo()
-            prompts.load_manifest.cache_clear()
-            prompts._registry.cache_clear()
+        yield copy
+        monkeypatch.undo()
+        prompts.load_manifest.cache_clear()
+        prompts._registry.cache_clear()
         assert len(all_templates()) == 36
+
+    def test_drifted_template_is_refused(self, template_copy):
+        edited = template_copy / "ep.scot.prompt"
+        edited.write_text(edited.read_text(encoding="utf-8") + "One more step.\n", encoding="utf-8")
+        with pytest.raises(PromptError, match="ep.scot.prompt"):
+            get_template(TaskId.EVEN_PAIRS, SupervisionKind.BASE)
+
+    def test_template_missing_from_the_manifest_is_refused(self, template_copy):
+        manifest_path = template_copy / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        del manifest["ep.scot.prompt"]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert verify_manifest() == []
+        with pytest.raises(PromptError, match="ep.scot.prompt"):
+            get_template(TaskId.EVEN_PAIRS, SupervisionKind.BASE)
 
     def test_known_anchor_lines(self):
         assert "Think step by step." in get_template(TaskId.PARITY_CHECK, SupervisionKind.UNSUPERVISED_COT).body
@@ -143,16 +155,16 @@ class TestRendering:
         with pytest.raises(TaskMismatch):
             render_prompt(template, inst)
 
-    def test_expected_answer_kind(self):
-        assert ANSWER_KINDS[TaskId.PARITY_CHECK] is AnswerKind.BOOL
-        assert ANSWER_KINDS[TaskId.EVEN_PAIRS] is AnswerKind.INT
-        assert ANSWER_KINDS[TaskId.REVERSE_LIST] is AnswerKind.TEXT
+    def test_expected_answer_type(self):
+        assert ANSWER_TYPES[TaskId.PARITY_CHECK] is bool
+        assert ANSWER_TYPES[TaskId.EVEN_PAIRS] is int
+        assert ANSWER_TYPES[TaskId.REVERSE_LIST] is str
 
 
 def PromptTemplate_like(template, new_body):
     from cotbench.prompts import PromptTemplate
 
-    return PromptTemplate(template.task, template.kind, new_body, template.source)
+    return PromptTemplate(template.task, template.kind, new_body)
 
 
 def reference_input(instance, rendering):

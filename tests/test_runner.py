@@ -24,6 +24,7 @@ from cotbench.backends import (
     Completion,
     CompletionConfig,
     CorruptingBackend,
+    ModelBackend,
     OracleEchoBackend,
     RateLimited,
     ReplayBackend,
@@ -52,13 +53,13 @@ from cotbench.runner import (
     wilson_interval,
 )
 from cotbench.tasks import (
-    ANSWER_KINDS,
+    ANSWER_TYPES,
     DEFAULT_LENGTHS,
-    AnswerKind,
     InputRendering,
     MalformedInstance,
     TaskId,
     generate_instance,
+    instance_record,
     oracle_solve,
 )
 
@@ -605,6 +606,19 @@ class TestRunExperiment:
         assert frozen == {**small_spec().to_json(), "generator": rundir.GENERATOR}
         assert rundir.GENERATOR == 3
 
+    def test_instance_stream_matches_its_golden_digest(self):
+        # indices 0-49 of master seed 0, for each task's grid lengths and 200 and 300
+        digest = hashlib.sha256()
+        for task in TaskId:
+            for length in DEFAULT_LENGTHS[task] + (200, 300):
+                for index in range(50):
+                    seed_path = runner.instance_seed_path(0, task, length, index)
+                    instance = generate_instance(task, length, seed_path=seed_path)
+                    digest.update(json.dumps(instance_record(instance)).encode() + b"\n")
+        assert digest.hexdigest() == "740ab53f019cbc205442515d032f286103ff78ec9308b659bca092e7dc7da020", (
+            "the instance stream changed: bump rundir.GENERATOR and update this digest in the same change"
+        )
+
     @pytest.mark.parametrize("stored", [None, 2], ids=["before-the-field", "older-version"])
     def test_resume_refuses_another_instance_stream(self, tmp_path, stored):
         spec = small_spec()
@@ -649,7 +663,7 @@ class TestRunExperiment:
         spec = small_spec(instances_per_cell=5)
         run_dir = run_experiment(spec, CorruptingBackend(p=0.5, seed=2), tmp_path / "run")
         for record in keyed_records(run_dir).values():
-            extracted = extract_result(record.data["transcript"], ANSWER_KINDS[record.cell.task])
+            extracted = extract_result(record.data["transcript"], record.cell.answer_type)
             assert score(extracted, record.data["oracle"]) is record.verdict
 
 
@@ -901,7 +915,7 @@ class MixedOutcomeBackend(OracleEchoBackend):
         if slot == 1:
             return Completion("Keine Antwort.")
         if slot == 2:
-            wrong = "True" if ANSWER_KINDS[context.instance.task] is AnswerKind.TEXT else "'zz'"
+            wrong = "True" if ANSWER_TYPES[context.instance.task] is str else "'zz'"
             return Completion("{'Result': " + wrong + "}")
         echo = super().complete(prompt, cfg, context)
         return Completion("Schritt für Schritt → " + echo.text) if slot == 3 else echo
@@ -1111,6 +1125,44 @@ class TestLoneSurrogate:
         assert {key: r.data["transcript"] for key, r in keyed_records(replayed).items()} == {
             key: r.data["transcript"] for key, r in records.items()
         }
+        assert aggregate(replayed, write=False).to_json() == table.to_json()
+
+
+class LongIntegerBackend(ModelBackend):
+    """Answers every call with a result integer of 5,000 digits, and keeps the prompts it was asked."""
+
+    TRANSCRIPT = "{'Result': " + "1" * 5000 + "}"
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt, cfg, context=None):
+        self.prompts.append(prompt)
+        return Completion(self.TRANSCRIPT)
+
+
+class TestLongResultInteger:
+    """A result integer longer than the interpreter converts is a TypeMismatch, not a crash."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_records_it_unparseable_and_resume_and_replay_agree(self, tmp_path, int_digit_limit, workers):
+        spec = small_spec(tasks=[TaskId.CYCLE_NAVIGATION], lengths={TaskId.CYCLE_NAVIGATION: [30]},
+                          kinds=[SupervisionKind.BASE], instances_per_cell=4)
+        backend = LongIntegerBackend()
+        run_dir = run_experiment(spec, backend, tmp_path / "run", workers=workers)
+        assert len(backend.prompts) == 4
+        records = keyed_records(run_dir)
+        assert len(records) == 4
+        for record in records.values():
+            assert rundir.check_record(record.data).verdict is Verdict.UNPARSEABLE
+            assert record.data["extraction"] == {
+                "ok": False, "reason": "TypeMismatch", "detail": "expected int, found an integer of 5000 digits",
+            }
+        resumed = LongIntegerBackend()
+        run_experiment(spec, resumed, run_dir, workers=workers)
+        assert resumed.prompts == []
+        table = aggregate(run_dir, write=False)
+        replayed = run_experiment(spec, ReplayBackend.from_run(run_dir), tmp_path / "replayed", workers=workers)
         assert aggregate(replayed, write=False).to_json() == table.to_json()
 
 

@@ -17,7 +17,6 @@ from cotbench.cli import main as cli_main
 from cotbench.prompts import SupervisionKind
 from cotbench.tasks import (
     ALPHABETS,
-    ANSWER_KINDS,
     ANSWER_TYPES,
     InputRendering,
     InstanceTooLarge,
@@ -85,11 +84,11 @@ class TestOracleKnownValues:
     def test_cycle_all_stay(self):
         assert solve(TaskId.CYCLE_NAVIGATION, ["0"] * 8) == 0
 
-    def test_answer_kinds(self):
-        # each solver answers with the type of its task's answer kind
+    def test_answer_types(self):
+        # each solver answers with its task's answer type
         for task in TaskId:
             inst = generate_instance(task, 4, seed_path=f"kinds/{task.value}")
-            want = ANSWER_TYPES[ANSWER_KINDS[task]]
+            want = ANSWER_TYPES[task]
             assert type(oracle_solve(task, inst)) is want
             assert type(brute_force_oracle(task, inst)) is want
 
