@@ -302,7 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (BackendError, ComplexityError, PromptError) as exc:
+    # a file a command cannot read or write is an error message, not a traceback
+    except (BackendError, ComplexityError, PromptError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

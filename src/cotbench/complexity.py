@@ -17,6 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from cotbench.tasks import (
+    PALINDROME_MARKER,
     TaskId,
     TaskInstance,
     UnsupportedLength,
@@ -101,7 +102,7 @@ def reference_instance(task: TaskId, length: int) -> TaskInstance:
         return make_instance(task, list(letters[:length]))
     if task is TaskId.PALINDROME_VERIFICATION:
         half = [letters[i % 26] for i in range(length // 2)]
-        return make_instance(task, half + ["#"] + half[::-1])
+        return make_instance(task, half + [PALINDROME_MARKER] + half[::-1])
     if task is TaskId.EQUAL_NUMBER:
         return make_instance(task, ["0"] * (length // 2) + ["1"] * (length // 2))
     if task is TaskId.CYCLE_NAVIGATION:

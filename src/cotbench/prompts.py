@@ -87,8 +87,13 @@ class RenderedPrompt:
         return prompt_sha256(self.text)
 
 
-def _read_body(name: str) -> str:
-    return (TEMPLATE_DIR / name).read_text(encoding="utf-8").rstrip("\n")
+def _checked_body(name: str, entry: dict | None) -> str | None:
+    """The body of template file ``name`` if the file exists and its hash is its manifest ``entry``'s; None if not."""
+    try:
+        body = (TEMPLATE_DIR / name).read_text(encoding="utf-8").rstrip("\n")
+    except FileNotFoundError:
+        return None
+    return body if entry is not None and prompt_sha256(body) == entry["sha256"] else None
 
 
 @lru_cache(maxsize=1)
@@ -101,8 +106,8 @@ def load_manifest() -> dict:
 def _registry() -> dict[tuple[TaskId, SupervisionKind], PromptTemplate]:
     """The 36 templates, loaded once per process, each body read once and checked against the manifest.
 
-    A template whose hash drifted from its manifest entry, or that has no
-    entry, is refused.
+    A template whose file is missing, whose hash drifted from its manifest
+    entry, or that has no entry, is refused.
     """
     manifest = load_manifest()
     registry = {}
@@ -110,20 +115,20 @@ def _registry() -> dict[tuple[TaskId, SupervisionKind], PromptTemplate]:
     for task in TaskId:
         for kind in SupervisionKind:
             name = f"{task.value}.{kind.value}.prompt"
-            body = _read_body(name)
-            entry = manifest.get(name)
-            if entry is None or prompt_sha256(body) != entry["sha256"]:
+            body = _checked_body(name, manifest.get(name))
+            if body is None:
                 refused.append(name)
-            registry[(task, kind)] = PromptTemplate(task, kind, body)
+            else:
+                registry[(task, kind)] = PromptTemplate(task, kind, body)
     if refused:
-        raise PromptError(f"templates drifted from the manifest or missing from it: {', '.join(refused)}")
+        raise PromptError(f"template files missing, drifted from the manifest or not in it: {', '.join(refused)}")
     return registry
 
 
 def verify_manifest() -> list[str]:
-    """Return a list of template files whose content hash drifted."""
+    """Return the manifest's template files that are missing or whose content hash drifted."""
     manifest = load_manifest()
-    return [name for name, entry in manifest.items() if prompt_sha256(_read_body(name)) != entry["sha256"]]
+    return [name for name, entry in manifest.items() if _checked_body(name, entry) is None]
 
 
 def get_template(task: TaskId, kind: SupervisionKind) -> PromptTemplate:

@@ -291,31 +291,23 @@ class AccuracyTable:
         headers = ["Task", "Len"] + (["Input"] if multi_rendering else []) + ["n"]
         headers += [k.display for k in kinds]
 
-        grouped: dict[tuple, dict[SupervisionKind, CellStats]] = {}
-        for stats in self.cells:
+        def row_key(stats: CellStats) -> tuple:
             task_rank, length, _, rendering = stats.cell.sort_key
-            grouped.setdefault((task_rank, length, rendering), {})[stats.cell.kind] = stats
+            return task_rank, length, rendering
+
+        def with_interval(stats: CellStats) -> str:
+            low, high = stats.interval
+            return f"{format_accuracy(stats.accuracy)} [{format_accuracy(low)}, {format_accuracy(high)}]"
 
         rows = []
-        for row_key in sorted(grouped):
-            by_kind = grouped[row_key]
-            any_stats = next(iter(by_kind.values()))
-            cell = any_stats.cell
-            row = [cell.task.display, str(cell.length)]
-            if multi_rendering:
-                row.append(cell.rendering.value)
-            ns = {s.n for s in by_kind.values()}
+        for _, group in groupby(sorted(self.cells, key=row_key), key=row_key):
+            group = list(group)
+            cell = group[0].cell
+            ns = {stats.n for stats in group}
+            row = [cell.task.display, str(cell.length)] + ([cell.rendering.value] if multi_rendering else [])
             row.append(str(ns.pop()) if len(ns) == 1 else "mixed")
-            for kind in kinds:
-                stats = by_kind.get(kind)
-                if stats is None:
-                    row.append("-")
-                else:
-                    low, high = stats.interval
-                    row.append(
-                        f"{format_accuracy(stats.accuracy)} "
-                        f"[{format_accuracy(low)}, {format_accuracy(high)}]"
-                    )
+            by_kind = {stats.cell.kind: stats for stats in group}
+            row += [with_interval(by_kind[kind]) if kind in by_kind else "-" for kind in kinds]
             rows.append(row)
         text = format_grid(headers, rows)
         n_error = sum(c.n_error for c in self.cells)
@@ -369,26 +361,38 @@ def aggregate(run_dir: str | Path, write: bool = True) -> AccuracyTable:
 
 @dataclass(frozen=True)
 class CellComparison:
-    task: TaskId
-    length: int
-    kind: SupervisionKind
-    n_a: int
-    accuracy_a: float
-    n_b: int
-    accuracy_b: float
-    delta: float
-    z: float
-    significant: bool
+    """One row of a comparison: the two cells it compares, A's and B's.
+
+    The delta (B minus A), the z statistic and the significance are read
+    from the two cells' counts, so a row holds nothing it could derive.
+    """
+
+    a: CellStats
+    b: CellStats
+
+    @property
+    def delta(self) -> float:
+        return self.b.accuracy - self.a.accuracy
+
+    @property
+    def z(self) -> float:
+        return two_proportion_z(self.a.n_correct, self.a.n, self.b.n_correct, self.b.n)
+
+    @property
+    def significant(self) -> bool:
+        """Whether the two-sided z test rejects equal accuracy at the 0.05 level."""
+        return abs(self.z) > Z_95
 
     def to_json(self) -> dict:
+        cell = self.a.cell
         return {
-            "task": self.task.value,
-            "length": self.length,
-            "kind": self.kind.value,
-            "n_a": self.n_a,
-            "accuracy_a": self.accuracy_a,
-            "n_b": self.n_b,
-            "accuracy_b": self.accuracy_b,
+            "task": cell.task.value,
+            "length": cell.length,
+            "kind": cell.kind.value,
+            "n_a": self.a.n,
+            "accuracy_a": self.a.accuracy,
+            "n_b": self.b.n,
+            "accuracy_b": self.b.accuracy,
             "delta": self.delta,
             "z": self.z,
             "significant": self.significant,
@@ -404,20 +408,19 @@ class ComparisonTable:
 
     def format_text(self) -> str:
         headers = ["Task", "Len", "Kind", "acc A", "acc B", "delta", "z", "sig"]
-        rows = []
-        for r in self.rows:
-            rows.append(
-                [
-                    r.task.display,
-                    str(r.length),
-                    r.kind.display,
-                    format_accuracy(r.accuracy_a),
-                    format_accuracy(r.accuracy_b),
-                    f"{r.delta * 100:+.1f}",
-                    f"{r.z:+.2f}",
-                    "*" if r.significant else "",
-                ]
-            )
+        rows = [
+            [
+                r.a.cell.task.display,
+                str(r.a.cell.length),
+                r.a.cell.kind.display,
+                format_accuracy(r.a.accuracy),
+                format_accuracy(r.b.accuracy),
+                f"{r.delta * 100:+.1f}",
+                f"{r.z:+.2f}",
+                "*" if r.significant else "",
+            ]
+            for r in self.rows
+        ]
         return format_grid(headers, rows)
 
 
@@ -433,9 +436,10 @@ def two_proportion_z(k_a: int, n_a: int, k_b: int, n_b: int) -> float:
 
 
 def compare_runs(run_a: str | Path, run_b: str | Path) -> ComparisonTable:
-    """Per-cell accuracy deltas between two runs sharing (task, length, kind) cells.
+    """Compare two runs that share their (task, length, kind) cells, in run A's table order.
 
-    A delta is significant when its two-sided z test rejects at the 0.05 level.
+    Each row holds run A's and run B's ``CellStats`` of one cell; its delta
+    is significant when its two-sided z test rejects at the 0.05 level.
 
     The rendering axis may differ between the runs (that is the point of
     the tokenization comparison); everything else must line up.
@@ -456,30 +460,12 @@ def compare_runs(run_a: str | Path, run_b: str | Path) -> ComparisonTable:
 
     cells_a = keyed(table_a)
     cells_b = keyed(table_b)
-    if set(cells_a) != set(cells_b):
-        only_a = {f"{t.value}/{l}/{k.value}" for t, l, k in set(cells_a) - set(cells_b)}
-        only_b = {f"{t.value}/{l}/{k.value}" for t, l, k in set(cells_b) - set(cells_a)}
+    if cells_a.keys() != cells_b.keys():
+        only_a = {f"{t.value}/{l}/{k.value}" for t, l, k in cells_a.keys() - cells_b.keys()}
+        only_b = {f"{t.value}/{l}/{k.value}" for t, l, k in cells_b.keys() - cells_a.keys()}
         raise StructureMismatch(f"cell structures differ (only in A: {only_a}, only in B: {only_b})")
-
-    rows = []
-    for key in sorted(cells_a, key=lambda k: cells_a[k].cell.sort_key):
-        a, b = cells_a[key], cells_b[key]
-        z = two_proportion_z(a.n_correct, a.n, b.n_correct, b.n)
-        rows.append(
-            CellComparison(
-                task=key[0],
-                length=key[1],
-                kind=key[2],
-                n_a=a.n,
-                accuracy_a=a.accuracy,
-                n_b=b.n,
-                accuracy_b=b.accuracy,
-                delta=b.accuracy - a.accuracy,
-                z=z,
-                significant=abs(z) > Z_95,
-            )
-        )
-    return ComparisonTable(rows)
+    # aggregate sorts its cells, so A's keys are in table order
+    return ComparisonTable([CellComparison(a, cells_b[key]) for key, a in cells_a.items()])
 
 
 def stderr_progress(done: int, total: int) -> None:

@@ -5,20 +5,36 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cotbench
 from cotbench.cli import exact_digits, main
 from cotbench.complexity import answer_space_census
 from cotbench.tasks import TaskId
+
+SRC = Path(cotbench.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_command(cwd, *argv) -> subprocess.CompletedProcess:
+    """The command in its own interpreter, so stderr holds whatever a user would see, tracebacks included."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cotbench.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 class TestGenerate:
@@ -582,3 +598,25 @@ class TestMalformedRunSpec:
         code, _, err = run_cli(capsys, "compare", "--run-a", str(good), "--run-b", str(bad))
         assert code == 1
         assert f"compare error: {bad / 'spec.json'} holds no experiment spec" in err
+
+
+class TestFileErrors:
+    """A file a command cannot write ends it with exit 1 and a one-line message, not a traceback."""
+
+    def test_generate_into_a_missing_directory(self, tmp_path):
+        result = run_command(
+            tmp_path, "generate", "--task", "pc", "--length", "10", "--count", "2", "--out", "missing/x.jsonl",
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("FileNotFoundError: ")
+        assert "missing/x.jsonl" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "missing").exists()
+
+    def test_run_under_a_file(self, tmp_path):
+        write_small_spec(tmp_path / "s.json")
+        result = run_command(tmp_path, "run", "--spec", "s.json", "--out", "s.json/run")
+        assert result.returncode == 1
+        assert result.stderr.startswith("NotADirectoryError: ")
+        assert "s.json/run" in result.stderr
+        assert "Traceback" not in result.stderr

@@ -88,6 +88,12 @@ class TestRegistry:
         with pytest.raises(PromptError, match="ep.scot.prompt"):
             get_template(TaskId.EVEN_PAIRS, SupervisionKind.BASE)
 
+    def test_template_file_that_has_gone_missing_is_refused(self, template_copy):
+        (template_copy / "pc.base.prompt").unlink()
+        assert verify_manifest() == ["pc.base.prompt"]
+        with pytest.raises(PromptError, match="pc.base.prompt"):
+            get_template(TaskId.EVEN_PAIRS, SupervisionKind.BASE)
+
     def test_known_anchor_lines(self):
         assert "Think step by step." in get_template(TaskId.PARITY_CHECK, SupervisionKind.UNSUPERVISED_COT).body
         assert "Initialize the 'count' to 0." in get_template(TaskId.EVEN_PAIRS, SupervisionKind.SUPERVISED_COT).body

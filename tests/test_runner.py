@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from cotbench import rundir, runner
+from cotbench import cli, rundir, runner
 from cotbench.backends import (
     AuthError,
     BackendError,
@@ -41,6 +41,7 @@ from cotbench.prompts import SupervisionKind
 from cotbench.runner import (
     AccuracyTable,
     CellKey,
+    CellStats,
     EmptyCellWarning,
     ExperimentSpec,
     SpecError,
@@ -697,6 +698,153 @@ class TestWilson:
             assert 0.0 <= low <= k / 20 <= high <= 1.0
 
 
+def corrupt_run_pair(tmp_path):
+    """Two runs of one four-cell grid on the corrupting backend, at corruption rates 0.1 (A) and 0.6 (B)."""
+    dirs = []
+    for name, p, seed in (("a", 0.1, 1), ("b", 0.6, 2)):
+        spec = small_spec(
+            tasks=[TaskId.PARITY_CHECK, TaskId.EVEN_PAIRS],
+            lengths={TaskId.PARITY_CHECK: [20], TaskId.EVEN_PAIRS: [10]},
+            kinds=[SupervisionKind.BASE, SupervisionKind.SUPERVISED_COT],
+            master_seed=5,
+            backend={"kind": "corrupt", "p": p, "seed": seed},
+        )
+        dirs.append(run_experiment(spec, CorruptingBackend(p=p, seed=seed), tmp_path / name))
+    return dirs
+
+
+# The outputs of corrupt_run_pair: run A's tables and the comparison of A with B.
+PAIR_TABLE_TXT = """\
+Task  Len   n                 Base                S-CoT
+----  ---  --  -------------------  -------------------
+PC    20   10    90.0 [59.6, 98.2]  100.0 [72.2, 100.0]
+EP    10   10  100.0 [72.2, 100.0]    90.0 [59.6, 98.2]
+"""
+
+PAIR_TABLE_JSON = """\
+{
+  "cells": [
+    {
+      "task": "pc",
+      "length": 20,
+      "kind": "base",
+      "rendering": "list",
+      "n": 10,
+      "n_correct": 9,
+      "n_unparseable": 0,
+      "n_error": 0,
+      "accuracy": 0.9,
+      "ci_low": 0.5958499732047616,
+      "ci_high": 0.982123786904927
+    },
+    {
+      "task": "pc",
+      "length": 20,
+      "kind": "scot",
+      "rendering": "list",
+      "n": 10,
+      "n_correct": 10,
+      "n_unparseable": 0,
+      "n_error": 0,
+      "accuracy": 1.0,
+      "ci_low": 0.7224672001371109,
+      "ci_high": 1.0
+    },
+    {
+      "task": "ep",
+      "length": 10,
+      "kind": "base",
+      "rendering": "list",
+      "n": 10,
+      "n_correct": 10,
+      "n_unparseable": 0,
+      "n_error": 0,
+      "accuracy": 1.0,
+      "ci_low": 0.7224672001371109,
+      "ci_high": 1.0
+    },
+    {
+      "task": "ep",
+      "length": 10,
+      "kind": "scot",
+      "rendering": "list",
+      "n": 10,
+      "n_correct": 9,
+      "n_unparseable": 0,
+      "n_error": 0,
+      "accuracy": 0.9,
+      "ci_low": 0.5958499732047616,
+      "ci_high": 0.982123786904927
+    }
+  ]
+}
+"""
+
+PAIR_COMPARE_TXT = """\
+Task  Len   Kind  acc A  acc B  delta      z  sig
+----  ---  -----  -----  -----  -----  -----  ---
+PC    20    Base   90.0   50.0  -40.0  -1.95
+PC    20   S-CoT  100.0   40.0  -60.0  -2.93    *
+EP    10    Base  100.0   30.0  -70.0  -3.28    *
+EP    10   S-CoT   90.0   20.0  -70.0  -3.15    *
+"""
+
+PAIR_COMPARE_JSON = """\
+{
+  "cells": [
+    {
+      "task": "pc",
+      "length": 20,
+      "kind": "base",
+      "n_a": 10,
+      "accuracy_a": 0.9,
+      "n_b": 10,
+      "accuracy_b": 0.5,
+      "delta": -0.4,
+      "z": -1.9518001458970664,
+      "significant": false
+    },
+    {
+      "task": "pc",
+      "length": 20,
+      "kind": "scot",
+      "n_a": 10,
+      "accuracy_a": 1.0,
+      "n_b": 10,
+      "accuracy_b": 0.4,
+      "delta": -0.6,
+      "z": -2.927700218845599,
+      "significant": true
+    },
+    {
+      "task": "ep",
+      "length": 10,
+      "kind": "base",
+      "n_a": 10,
+      "accuracy_a": 1.0,
+      "n_b": 10,
+      "accuracy_b": 0.3,
+      "delta": -0.7,
+      "z": -3.281650616569468,
+      "significant": true
+    },
+    {
+      "task": "ep",
+      "length": 10,
+      "kind": "scot",
+      "n_a": 10,
+      "accuracy_a": 0.9,
+      "n_b": 10,
+      "accuracy_b": 0.2,
+      "delta": -0.7,
+      "z": -3.1462660248284626,
+      "significant": true
+    }
+  ]
+}
+"""
+
+
 class TestAggregate:
     def test_format_accuracy(self):
         assert format_accuracy(0.953) == "95.3"
@@ -748,6 +896,35 @@ class TestAggregate:
         removed.unlink()
         with pytest.warns(EmptyCellWarning):
             aggregate(run_dir, write=False)
+
+    def test_corrupt_run_tables_are_golden(self, tmp_path):
+        dir_a, _ = corrupt_run_pair(tmp_path)
+        aggregate(dir_a)
+        assert (dir_a / "table.txt").read_text(encoding="utf-8") == PAIR_TABLE_TXT
+        assert (dir_a / "table.json").read_text(encoding="utf-8") == PAIR_TABLE_JSON
+
+    def test_text_table_of_two_renderings_a_missing_kind_and_unequal_n(self):
+        pc, ep = TaskId.PARITY_CHECK, TaskId.EVEN_PAIRS
+        base, scot = SupervisionKind.BASE, SupervisionKind.SUPERVISED_COT
+        listed, compact = InputRendering.LIST_FIED, InputRendering.COMPACT_STRING
+        # out of table order: the text sorts them
+        cells = [
+            CellStats(CellKey(ep, 10, scot, compact), 5, 0, 5, 0),
+            CellStats(CellKey(pc, 20, scot, listed), 10, 10, 0, 0),
+            CellStats(CellKey(ep, 10, scot, listed), 8, 6, 1, 2),
+            CellStats(CellKey(pc, 20, base, compact), 10, 7, 0, 0),
+            CellStats(CellKey(ep, 10, base, listed), 10, 10, 0, 0),
+            CellStats(CellKey(pc, 20, base, listed), 10, 9, 0, 0),
+        ]
+        assert AccuracyTable(cells).format_text() == (
+            "Task  Len   Input      n                 Base                S-CoT\n"
+            "----  ---  ------  -----  -------------------  -------------------\n"
+            "PC    20     list     10    90.0 [59.6, 98.2]  100.0 [72.2, 100.0]\n"
+            "PC    20   string     10    70.0 [39.7, 89.2]                    -\n"
+            "EP    10     list  mixed  100.0 [72.2, 100.0]    75.0 [40.9, 92.9]\n"
+            "EP    10   string      5                    -      0.0 [0.0, 43.4]\n"
+            "2 calls ended in a backend error and are left out of n; resume the run to issue them again\n"
+        )
 
 
 class TestCompare:
@@ -809,6 +986,12 @@ class TestCompare:
         z = two_proportion_z(244, 1000, 542, 1000)
         assert z > 1.96
         assert abs(z - 13.64302407543293) < 1e-9
+
+    @pytest.mark.parametrize("flags,expected", [([], PAIR_COMPARE_TXT), (["--json"], PAIR_COMPARE_JSON)], ids=["text", "json"])
+    def test_corrupt_run_pair_compares_to_golden_output(self, tmp_path, capsys, flags, expected):
+        dir_a, dir_b = corrupt_run_pair(tmp_path)
+        assert cli.main(["compare", "--run-a", str(dir_a), "--run-b", str(dir_b), *flags]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestPairedInstances:
