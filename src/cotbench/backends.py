@@ -32,7 +32,7 @@ from urllib.parse import SplitResult, unquote, urlsplit
 
 from cotbench.extraction import format_result
 from cotbench.prompts import prompt_sha256
-from cotbench.rundir import CompletionConfig, is_run_dir, load_records, load_spec, typed
+from cotbench.rundir import CompletionConfig, load_records, load_spec, typed
 from cotbench.tasks import Answer, TaskInstance, rng_for
 
 API_KEY_ENV = "COTBENCH_API_KEY"
@@ -170,13 +170,12 @@ class ReplayBackend(ModelBackend):
     def from_run(run_dir: str | Path) -> "ReplayBackend":
         """The transcripts of a run directory's checked records, except calls that ended in an error.
 
-        Each is read from the ``data`` of the record's ``CheckedRecord``.
+        The records are read through ``load_records``, over the cells of the
+        run's spec, as a resume and a report read them, and each transcript
+        from the ``data`` of its ``CheckedRecord``.  SpecError if ``run_dir``
+        is not a run directory (``load_spec``).
         """
         spec = load_spec(Path(run_dir))
-        if spec is None:
-            raise ValueError(f"no spec.json in {run_dir}: replay needs a run directory")
-        if not is_run_dir(run_dir):
-            raise ValueError(f"no records directory in {run_dir}: replay needs a run directory")
         transcripts = {
             checked.data["prompt_sha256"]: checked.data["transcript"]
             for checked in load_records(run_dir)
@@ -207,9 +206,9 @@ class _RateLimiter:
     """Blocking requests-per-minute limiter shared across worker threads; None sets no limit."""
 
     def __init__(self, per_minute: int | None):
-        # a spec's value: anything but a positive int would fail inside the first call
-        if per_minute is not None and (type(per_minute) is not int or per_minute < 1):
-            raise ValueError(f"requests_per_minute must be a positive integer, got {per_minute!r}")
+        # a rate below 1 would fail inside the first call
+        if per_minute is not None and per_minute < 1:
+            raise ValueError(f"requests_per_minute must be positive, got {per_minute!r}")
         self.per_minute = per_minute
         self._stamps: deque[float] = deque()
         self._lock = threading.Lock()
@@ -429,7 +428,8 @@ def make_backend(spec: dict) -> ModelBackend:
     """Build a backend from an experiment spec's backend block.
 
     TypeError for a field it reads of the wrong JSON type, ValueError for a
-    value it refuses; the fields it does not read are ignored.
+    value it refuses, SpecError for a replay store that is not a run
+    directory; the fields it does not read are ignored.
     """
     kind = spec.get("kind", "echo")
     if kind == "echo":
@@ -445,6 +445,6 @@ def make_backend(spec: dict) -> ModelBackend:
         return LiveBackend(
             base_url=_option(spec, "base_url", str),
             api_key=_option(spec, "api_key", str),
-            requests_per_minute=spec.get("requests_per_minute"),
+            requests_per_minute=_option(spec, "requests_per_minute", int),
         )
     raise ValueError(f"unknown backend kind {kind!r}")

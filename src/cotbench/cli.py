@@ -16,7 +16,7 @@ from pathlib import Path
 from cotbench.backends import AuthError, BackendError, ReplayBackend, make_backend
 from cotbench.complexity import ComplexityError, InvalidParams, density_report, template_count
 from cotbench.prompts import PromptError, SupervisionKind, get_template, render_prompt
-from cotbench.rundir import RunnerError, SpecError, is_run_dir, read_spec
+from cotbench.rundir import RunnerError, SpecError, read_spec
 from cotbench.runner import aggregate, compare_runs, instance_seed_path, run_experiment, stderr_progress
 from cotbench.tasks import (
     BRUTE_FORCE_MAX_LENGTH,
@@ -190,9 +190,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if not is_run_dir(args.run):
-        print(f"not a run directory: {args.run}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         table = aggregate(args.run)
     except SpecError as exc:
@@ -204,12 +201,11 @@ def cmd_report(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    for run_dir in (args.run_a, args.run_b):
-        if not is_run_dir(run_dir):
-            print(f"not a run directory: {run_dir}", file=sys.stderr)
-            return EXIT_USAGE
     try:
         table = compare_runs(args.run_a, args.run_b)
+    except SpecError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except RunnerError as exc:
         print(f"compare error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

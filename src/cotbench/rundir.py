@@ -8,10 +8,12 @@ record format is written down twice, once per direction: a run writes each
 line through ``record_appender``, which splices the encoded instance part
 (``encode_shared``) and the JSON text of the call's ``record_tail`` into
 the line and appends it to the cell file as bytes, and ``check_record``
-decides whether a line holds a record.  A resume, a report and a replay
-all read a record's key, outcome and transcript from the ``CheckedRecord``
-that check returns.  A report reads the records one cell file at a time,
-so it holds one cell's records whatever the size of the run.
+decides whether a line holds a record.  ``load_records`` is the one reader
+of a run's records: a resume, a report, a replay and a comparison all go
+through it, and it reads exactly the cell files of the run's spec, one at
+a time, so a reader holds one cell's records whatever the size of the run.
+Every reader takes a record's key, outcome and transcript from the
+``CheckedRecord`` that check returns.
 
 ``spec.json`` also records the version of the instance stream
 (``GENERATOR``), and a run directory written with another stream is not
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -425,11 +426,6 @@ def cell_file(run_dir: Path, cell: CellKey) -> Path:
     return records_dir(run_dir) / f"{cell.label}.jsonl"
 
 
-def is_run_dir(path: str | Path) -> bool:
-    """Whether ``path`` is a run directory, that is, one that holds a records directory."""
-    return records_dir(Path(path)).is_dir()
-
-
 def read_spec(path: Path) -> tuple[ExperimentSpec, dict]:
     """The spec in the file at ``path`` and the JSON object it was read from.
 
@@ -443,11 +439,17 @@ def read_spec(path: Path) -> tuple[ExperimentSpec, dict]:
         raise SpecError(f"{path} holds no experiment spec: {type(exc).__name__}: {exc}") from exc
 
 
-def load_spec(run_dir: Path) -> ExperimentSpec | None:
-    """The run's spec, or None without a ``spec.json``; SpecError if the file holds no spec."""
+def load_spec(run_dir: Path) -> ExperimentSpec:
+    """The spec of the run in ``run_dir``.
+
+    SpecError if ``run_dir`` is not a run directory, that is, holds no
+    records directory or no ``spec.json``, or if that file holds no spec.
+    """
+    if not records_dir(run_dir).is_dir():
+        raise SpecError(f"not a run directory: {run_dir} holds no records directory")
     path = run_dir / SPEC_FILE
     if not path.exists():
-        return None
+        raise SpecError(f"not a run directory: {run_dir} holds no {SPEC_FILE}")
     return read_spec(path)[0]
 
 
@@ -484,7 +486,7 @@ def scan_cell_file(path: Path, instances_per_cell: int) -> dict[int, CheckedReco
     of another cell or with an index outside ``0 .. instances_per_cell - 1``.
     Of several records for one index the last one wins, so a call re-issued
     on resume replaces the error it was re-issued for.  A missing file holds
-    no record.  The resume and ``load_records`` both read cell files here.
+    no record.  ``load_records`` reads each cell file here.
     """
     records: dict[int, CheckedRecord] = {}
     if not path.exists():
@@ -508,21 +510,20 @@ def scan_cell_file(path: Path, instances_per_cell: int) -> dict[int, CheckedReco
 
 
 def load_records(run_dir: str | Path) -> Iterator[CheckedRecord]:
-    """The checked records of a run that belong in their cell files, one cell file after another.
+    """The checked records of a run that belong in its spec's cell files, one cell after another.
 
-    Cell files are read in sorted order by ``scan_cell_file``, and the
-    records of one file share one ``CellKey``.  The generator lets go of each
-    record as it hands it out, so it holds at most one cell's records; a
-    caller that keeps none holds no more.  Without a ``spec.json`` no index
-    is out of range.
+    This is the one reader of a run's records: a resume, a report, a replay
+    and a comparison all read them here.  Each cell of the spec
+    (``load_spec``) has its file read by ``scan_cell_file`` in the spec's
+    cell order, and the records of one file share one ``CellKey``; a file
+    the spec names no cell of is read by nothing.  The generator lets go of
+    each record as it hands it out, so it holds at most one cell's records;
+    a caller that keeps none holds no more.
     """
     run_dir = Path(run_dir)
-    if not is_run_dir(run_dir):
-        return
     spec = load_spec(run_dir)
-    instances_per_cell = spec.instances_per_cell if spec else sys.maxsize
-    for path in sorted(records_dir(run_dir).glob("*.jsonl")):
-        records = scan_cell_file(path, instances_per_cell)
+    for cell in spec.cells():
+        records = scan_cell_file(cell_file(run_dir, cell), spec.instances_per_cell)
         for index in list(records):
             yield records.pop(index)
 

@@ -31,14 +31,12 @@ from cotbench.rundir import (
     ExperimentSpec,
     RunnerError,
     SpecError,
-    cell_file,
     encode_shared,
     init_run_dir,
     load_records,
     load_spec,
     record_appender,
     record_tail,
-    scan_cell_file,
     write_table,
 )
 from cotbench.tasks import Answer, TaskId, TaskInstance, generate_instance, oracle_solve
@@ -140,10 +138,10 @@ def run_experiment(
     interrupt cancels the calls not yet started, waits for those in flight,
     saves the record of every call that succeeded and is raised again.
 
-    A resume first reads each cell file with ``scan_cell_file``, as a report
-    does, and reads each checked record's index and outcome.  Each call's
-    record is written from its cell, index, encoded instance part and
-    ``record_tail``.
+    A resume first reads the run's records through ``load_records``, as a
+    report and a replay do, so it reads exactly the spec's cell files, and
+    takes each checked record's index and outcome.  Each call's record is
+    written from its cell, index, encoded instance part and ``record_tail``.
 
     Each instance and its oracle are built once and handed to every pending
     kind of its (task, length, index).  With one worker the calls run in the
@@ -159,17 +157,18 @@ def run_experiment(
     run_dir = Path(out_dir)
     init_run_dir(run_dir, spec)
 
+    # the indices each cell is done with, by cell label; a call that ended
+    # in a backend error is issued again
+    done_by_label = {
+        cell.label: {checked.index for checked in records if checked.outcome is not None}
+        for cell, records in groupby(load_records(run_dir), key=attrgetter("cell"))
+    }
     cells = spec.cells()
     pending: list[PendingGroup] = []
     n_pending = 0
     for (task, length), group in groupby(cells, key=lambda c: (c.task, c.length)):
         group = list(group)
-        # the indices each cell is done with; a call that ended in a backend
-        # error is issued again
-        done = []
-        for cell in group:
-            records = scan_cell_file(cell_file(run_dir, cell), spec.instances_per_cell)
-            done.append({index for index, checked in records.items() if checked.outcome is not None})
+        done = [done_by_label.get(cell.label, ()) for cell in group]
         for index in range(spec.instances_per_cell):
             todo = [cell for cell, indices in zip(group, done) if index not in indices]
             if todo:
@@ -287,13 +286,10 @@ class AccuracyTable:
     def format_text(self) -> str:
         present = {c.cell.kind for c in self.cells}
         kinds = [kind for kind in SupervisionKind if kind in present]
-        multi_rendering = len({c.cell.rendering for c in self.cells}) > 1
-        headers = ["Task", "Len"] + (["Input"] if multi_rendering else []) + ["n"]
-        headers += [k.display for k in kinds]
+        headers = ["Task", "Len", "n"] + [k.display for k in kinds]
 
         def row_key(stats: CellStats) -> tuple:
-            task_rank, length, _, rendering = stats.cell.sort_key
-            return task_rank, length, rendering
+            return stats.cell.sort_key[:2]
 
         def with_interval(stats: CellStats) -> str:
             low, high = stats.interval
@@ -304,8 +300,7 @@ class AccuracyTable:
             group = list(group)
             cell = group[0].cell
             ns = {stats.n for stats in group}
-            row = [cell.task.display, str(cell.length)] + ([cell.rendering.value] if multi_rendering else [])
-            row.append(str(ns.pop()) if len(ns) == 1 else "mixed")
+            row = [cell.task.display, str(cell.length), str(ns.pop()) if len(ns) == 1 else "mixed"]
             by_kind = {stats.cell.kind: stats for stats in group}
             row += [with_interval(by_kind[kind]) if kind in by_kind else "-" for kind in kinds]
             rows.append(row)
@@ -346,12 +341,10 @@ def aggregate(run_dir: str | Path, write: bool = True) -> AccuracyTable:
         )
     stats.sort(key=lambda s: s.cell.sort_key)
 
-    spec = load_spec(run_dir)
-    if spec:
-        recorded = {s.cell.label for s in stats}
-        for cell in spec.cells():
-            if cell.label not in recorded:
-                warnings.warn(f"cell {cell.label} has no records", EmptyCellWarning)
+    recorded = {s.cell.label for s in stats}
+    for cell in load_spec(run_dir).cells():
+        if cell.label not in recorded:
+            warnings.warn(f"cell {cell.label} has no records", EmptyCellWarning)
 
     table = AccuracyTable(stats)
     if write:
@@ -435,6 +428,13 @@ def two_proportion_z(k_a: int, n_a: int, k_b: int, n_b: int) -> float:
     return (k_b / n_b - k_a / n_a) / se
 
 
+def _cell_list(keys: list[tuple]) -> str:
+    """(task, length, kind) keys as ``task/length/kind`` labels: the first five, then how many more."""
+    labels = [f"{t.value}/{l}/{k.value}" for t, l, k in keys]
+    more = f" and {len(labels) - 5} more" if len(labels) > 5 else ""
+    return ", ".join(labels[:5]) + more or "none"
+
+
 def compare_runs(run_a: str | Path, run_b: str | Path) -> ComparisonTable:
     """Compare two runs that share their (task, length, kind) cells, in run A's table order.
 
@@ -442,28 +442,17 @@ def compare_runs(run_a: str | Path, run_b: str | Path) -> ComparisonTable:
     is significant when its two-sided z test rejects at the 0.05 level.
 
     The rendering axis may differ between the runs (that is the point of
-    the tokenization comparison); everything else must line up.
+    the tokenization comparison); everything else must line up.  A
+    StructureMismatch names the cells of only one run in table order.
     """
-    table_a = aggregate(run_a, write=False)
-    table_b = aggregate(run_b, write=False)
+    def keyed(run) -> dict[tuple, CellStats]:
+        return {(s.cell.task, s.cell.length, s.cell.kind): s for s in aggregate(run, write=False).cells}
 
-    def keyed(table: AccuracyTable) -> dict[tuple, CellStats]:
-        out = {}
-        for stats in table.cells:
-            key = (stats.cell.task, stats.cell.length, stats.cell.kind)
-            if key in out:
-                raise StructureMismatch(
-                    f"run has multiple renderings for {key}; compare one rendering at a time"
-                )
-            out[key] = stats
-        return out
-
-    cells_a = keyed(table_a)
-    cells_b = keyed(table_b)
+    cells_a, cells_b = keyed(run_a), keyed(run_b)
     if cells_a.keys() != cells_b.keys():
-        only_a = {f"{t.value}/{l}/{k.value}" for t, l, k in cells_a.keys() - cells_b.keys()}
-        only_b = {f"{t.value}/{l}/{k.value}" for t, l, k in cells_b.keys() - cells_a.keys()}
-        raise StructureMismatch(f"cell structures differ (only in A: {only_a}, only in B: {only_b})")
+        only_a = _cell_list([key for key in cells_a if key not in cells_b])
+        only_b = _cell_list([key for key in cells_b if key not in cells_a])
+        raise StructureMismatch(f"cell structures differ (only in A: {only_a}; only in B: {only_b})")
     # aggregate sorts its cells, so A's keys are in table order
     return ComparisonTable([CellComparison(a, cells_b[key]) for key, a in cells_a.items()])
 

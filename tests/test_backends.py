@@ -37,6 +37,7 @@ from cotbench.backends import (
     make_backend,
 )
 from cotbench.extraction import Verdict, extract_result, score
+from cotbench.rundir import SpecError
 from cotbench.tasks import (
     TaskId,
     generate_instance,
@@ -575,12 +576,16 @@ def test_preseeded_case_transcripts_replay_to_expected_verdicts():
 def test_replay_refuses_a_store_without_spec_or_records(tmp_path):
     from cotbench.runner import run_experiment
 
-    with pytest.raises(ValueError, match="no spec.json"):
-        ReplayBackend.from_run(tmp_path)
     source = run_experiment(small_live_spec({"kind": "echo"}), OracleEchoBackend(), tmp_path / "source")
-    shutil.rmtree(source / "records")
-    with pytest.raises(ValueError, match="no records directory"):
+    (source / "spec.json").rename(tmp_path / "spec.json")
+    with pytest.raises(SpecError) as exc:
         ReplayBackend.from_run(source)
+    assert str(exc.value) == f"not a run directory: {source} holds no spec.json"
+    (tmp_path / "spec.json").rename(source / "spec.json")
+    shutil.rmtree(source / "records")
+    with pytest.raises(SpecError) as exc:
+        ReplayBackend.from_run(source)
+    assert str(exc.value) == f"not a run directory: {source} holds no records directory"
 
 
 def test_replay_answers_only_the_recorded_decoding(tmp_path):
@@ -642,10 +647,16 @@ class TestFactory:
             spec["requests_per_minute"] = per_minute
         assert make_backend(spec)._limiter.per_minute == per_minute
 
-    @pytest.mark.parametrize("per_minute", [0, -1, 2.5, "3", True])
-    def test_live_refuses_a_rate_that_is_not_a_positive_int(self, per_minute):
+    @pytest.mark.parametrize("per_minute", [2.5, "3", True])
+    def test_live_refuses_a_rate_that_is_not_an_int(self, per_minute):
         spec = {"kind": "live", "api_key": "k", "base_url": "http://127.0.0.1:1", "requests_per_minute": per_minute}
-        with pytest.raises(ValueError, match="requests_per_minute must be a positive integer"):
+        with pytest.raises(TypeError, match="backend.requests_per_minute must be an integer"):
+            make_backend(spec)
+
+    @pytest.mark.parametrize("per_minute", [0, -1])
+    def test_live_refuses_a_rate_below_one(self, per_minute):
+        spec = {"kind": "live", "api_key": "k", "base_url": "http://127.0.0.1:1", "requests_per_minute": per_minute}
+        with pytest.raises(ValueError, match="requests_per_minute must be positive"):
             make_backend(spec)
 
     def test_replay_needs_store(self):

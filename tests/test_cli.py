@@ -27,9 +27,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_command(cwd, *argv) -> subprocess.CompletedProcess:
-    """The command in its own interpreter, so stderr holds whatever a user would see, tracebacks included."""
-    env = dict(os.environ)
+def run_command(cwd, *argv, **environ) -> subprocess.CompletedProcess:
+    """The command in its own interpreter, so stderr holds whatever a user would see, tracebacks included.
+
+    ``environ`` adds to the interpreter's environment.
+    """
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "cotbench.cli", *argv],
@@ -49,10 +52,12 @@ class TestGenerate:
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_odd_palindrome_length_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "generate", "--task", "pv", "--length", "5")
-        assert code == 2
-        assert "even" in err
+    @pytest.mark.parametrize(
+        "command", [["generate"], ["show-prompt", "--kind", "base"]], ids=["generate", "show-prompt"]
+    )
+    def test_odd_palindrome_length_is_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--task", "pv", "--length", "5")
+        assert (code, out, err) == (2, "", "usage error: pv requires an even length, got 5\n")
 
     def test_even_pairs_mean_half_transitions(self, capsys):
         code, out, _ = run_cli(
@@ -191,6 +196,10 @@ class TestCommandsDrawTheRunsInstances:
         assert digest == records[(f"{task}.{length}.{kind}.list", 0)]["prompt_sha256"]
 
 
+# a live backend block that a run accepts until a call is made
+LIVE = {"kind": "live", "api_key": "k", "base_url": "http://127.0.0.1:1"}
+
+
 class TestRunReportCompare:
     def write_spec(self, path, **overrides):
         spec = {
@@ -310,7 +319,7 @@ class TestRunReportCompare:
             "--backend", "replay", "--store", str(path),
         )
         assert code == 2
-        assert "backend error: no spec.json" in err
+        assert f"backend error: not a run directory: {path} holds no records directory" in err
         assert not (tmp_path / "run").exists()
 
     def test_replay_store_without_records_is_a_backend_error(self, tmp_path, capsys):
@@ -323,7 +332,7 @@ class TestRunReportCompare:
             "--backend", "replay", "--store", str(store),
         )
         assert code == 2
-        assert f"backend error: no records directory in {store}" in err
+        assert f"backend error: not a run directory: {store} holds no records directory" in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
@@ -414,10 +423,18 @@ class TestRunReportCompare:
         [
             ({"kind": "corrupt", "p": "0.3"}, 'backend.p must be a number, not "0.3"'),
             ({"kind": "replay", "store": 5}, "backend.store must be a string, not 5"),
+            *[
+                ({**LIVE, "requests_per_minute": rate}, f"backend.requests_per_minute must be an integer, not {text}")
+                for rate, text in ((2.5, "2.5"), ("3", '"3"'), (True, "true"))
+            ],
+            *[
+                ({**LIVE, "requests_per_minute": rate}, f"requests_per_minute must be positive, got {rate}")
+                for rate in (0, -1)
+            ],
         ],
-        ids=["text-p", "number-store"],
+        ids=["text-p", "number-store", "number-rate", "text-rate", "bool-rate", "zero-rate", "negative-rate"],
     )
-    def test_backend_field_of_wrong_type_is_usage_error(self, tmp_path, capsys, backend, message):
+    def test_refused_backend_field_is_usage_error(self, tmp_path, capsys, backend, message):
         spec = self.write_spec(tmp_path / "spec.json", backend=backend)
         code, out, err = run_cli(capsys, "run", "--spec", str(spec), "--out", str(tmp_path / "run"))
         assert (code, out, err) == (2, "", f"backend error: {message}\n")
@@ -458,7 +475,61 @@ class TestRunReportCompare:
         code, out, err = run_cli(capsys, "compare", "--run-a", str(run_a), "--run-b", str(run_b))
         assert code == 2
         assert out == ""
-        assert f"not a run directory: {missing}" in err
+        assert err == f"usage error: not a run directory: {missing} holds no records directory\n"
+
+    def test_structure_mismatch_names_cells_in_table_order(self, tmp_path, capsys):
+        runs = []
+        for name, task, lengths in (("a", "pc", [20, 25]), ("b", "ep", [10])):
+            spec = self.write_spec(tmp_path / f"{name}.json", tasks=[task], lengths={task: lengths}, instances_per_cell=2)
+            assert run_cli(capsys, "run", "--spec", str(spec), "--out", str(tmp_path / name))[0] == 0
+            runs += [f"--run-{name}", name]
+        # the message is the same whatever order a set of the cells iterates in
+        results = [run_command(tmp_path, "compare", *runs, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+        assert [(r.returncode, r.stdout, r.stderr) for r in results] == 2 * [(
+            1, "",
+            "compare error: cell structures differ (only in A: pc/20/base, pc/20/cot, pc/20/scot, "
+            "pc/20/scot-sub, pc/25/base and 3 more; only in B: ep/10/base, ep/10/cot, ep/10/scot, "
+            "ep/10/scot-sub)\n",
+        )]
+
+    def run_with_a_stray_cell_file(self, tmp_path, capsys) -> Path:
+        """A reported run, then a copy of one of its cell files under another rendering's name.
+
+        The copy's records name the other rendering, so each is a record of
+        the cell its file is named for, a cell the spec does not ask for.
+        """
+        spec = self.write_spec(tmp_path / "spec.json", tasks=["pc"], lengths={"pc": [20]})
+        run_dir = tmp_path / "run"
+        assert run_cli(capsys, "run", "--spec", str(spec), "--out", str(run_dir))[0] == 0
+        assert run_cli(capsys, "report", "--run", str(run_dir))[0] == 0
+        records = run_dir / "records"
+        lines = (records / "pc.20.base.list.jsonl").read_text(encoding="utf-8").splitlines()
+        stray = [json.dumps({**json.loads(line), "rendering": "string"}) for line in lines]
+        (records / "pc.20.base.string.jsonl").write_text("\n".join(stray) + "\n", encoding="utf-8")
+        return run_dir
+
+    def test_report_reads_only_the_spec_cells(self, tmp_path, capsys):
+        run_dir = self.run_with_a_stray_cell_file(tmp_path, capsys)
+        table = (run_dir / "table.txt").read_bytes()
+        code, out, _ = run_cli(capsys, "report", "--run", str(run_dir))
+        assert code == 0
+        assert (run_dir / "table.txt").read_bytes() == table == out.encode()
+        assert "string" not in out
+
+    def test_compare_of_a_run_with_a_stray_cell_file_with_itself(self, tmp_path, capsys):
+        run_dir = self.run_with_a_stray_cell_file(tmp_path, capsys)
+        code, out, err = run_cli(capsys, "compare", "--run-a", str(run_dir), "--run-b", str(run_dir), "--json")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["cells"]) == 4
+
+    @pytest.mark.parametrize("command", ["report", "compare"])
+    def test_records_without_a_spec_are_no_run_directory(self, tmp_path, capsys, command):
+        run_dir = self.run_with_a_stray_cell_file(tmp_path, capsys)
+        (run_dir / "spec.json").unlink()
+        argv = ["--run", str(run_dir)] if command == "report" else ["--run-a", str(run_dir), "--run-b", str(run_dir)]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: not a run directory: {run_dir} holds no spec.json\n"
 
 
 class TestComplexityCommand:
@@ -490,9 +561,19 @@ class TestComplexityCommand:
         for row in rows[2:]:
             assert " ".join(row[-8:]) == f"error: length must be >= 2, got {row[1]}"
 
-    def test_no_action_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "complexity")
-        assert code == 2
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "pass --n/--s and/or --tasks/--lengths"),
+            (["--n", "5"], "--n and --s go together"),
+            (["--tasks", "zz", "--lengths", "4"], "unknown task 'zz'"),
+            (["--tasks", "pc"], "--tasks needs --lengths"),
+        ],
+        ids=["no-action", "n-without-s", "unknown-task", "tasks-without-lengths"],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "complexity", *argv)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
     @staticmethod
     def run_past_the_digit_limit(capsys, *argv) -> list[str]:
@@ -590,14 +671,15 @@ class TestMalformedRunSpec:
         assert (run_dir / "spec.json").read_text() == text
 
     @MALFORMED_SPECS
-    def test_compare_is_compare_error(self, tmp_path, capsys, text):
+    def test_compare_is_usage_error(self, tmp_path, capsys, text):
         spec = write_small_spec(tmp_path / "spec.json")
         good = tmp_path / "a"
         assert run_cli(capsys, "run", "--spec", str(spec), "--out", str(good))[0] == 0
         bad = malformed_run(tmp_path / "b", text)
-        code, _, err = run_cli(capsys, "compare", "--run-a", str(good), "--run-b", str(bad))
-        assert code == 1
-        assert f"compare error: {bad / 'spec.json'} holds no experiment spec" in err
+        code, out, err = run_cli(capsys, "compare", "--run-a", str(good), "--run-b", str(bad))
+        assert code == 2
+        assert out == ""
+        assert f"usage error: {bad / 'spec.json'} holds no experiment spec" in err
 
 
 class TestFileErrors:

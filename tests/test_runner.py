@@ -180,6 +180,9 @@ ODD_RECORDS = [
 ]
 
 
+NO_BACKOFF = "completion.backoff_s must list at least one delay, none negative"
+
+
 class TestSpec:
     def test_round_trip(self):
         spec = small_spec()
@@ -233,20 +236,29 @@ class TestSpec:
             small_spec(instances_per_cell=0).validate()
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, message",
         [
-            {"workers": 0},
-            {"completion": CompletionConfig(max_attempts=0)},
-            {"completion": CompletionConfig(backoff_s=())},
-            {"completion": CompletionConfig(backoff_s=(1.0, -1.0))},
+            ({"workers": 0}, "workers must be positive"),
+            ({"completion": CompletionConfig(max_attempts=0)}, "completion.max_attempts must be positive"),
+            ({"completion": CompletionConfig(backoff_s=())}, NO_BACKOFF),
+            ({"completion": CompletionConfig(backoff_s=(1.0, -1.0))}, NO_BACKOFF),
+            ({"tasks": []}, "spec lists no tasks"),
+            ({"tasks": [TaskId.PARITY_CHECK] * 2}, "duplicate tasks in spec"),
+            ({"lengths": {TaskId.PARITY_CHECK: []}}, "no lengths for task pc"),
+            ({"lengths": {TaskId.PARITY_CHECK: [20, 20]}}, "duplicate lengths for task pc"),
         ],
-        ids=["zero-workers", "zero-attempts", "no-backoff", "negative-backoff"],
+        ids=[
+            "zero-workers", "zero-attempts", "no-backoff", "negative-backoff",
+            "no-tasks", "duplicate-task", "no-lengths", "duplicate-length",
+        ],
     )
-    def test_validation_rejects_settings_that_fail_mid_run(self, tmp_path, overrides):
+    def test_validation_rejects_settings_that_fail_mid_run(self, tmp_path, overrides, message):
         backend = StallingBackend()
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError) as exc:
             run_experiment(small_spec(**overrides), backend, tmp_path / "run")
+        assert str(exc.value) == message
         assert backend.calls == 0
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_worker_override_below_one_is_refused(self, tmp_path, workers):
@@ -512,6 +524,25 @@ class TestRunExperiment:
         run_experiment(spec, backend, run_dir)
         assert backend.calls == 0
         assert aggregate(run_dir, write=False).to_json() == before
+
+    def test_resume_and_report_read_only_the_spec_cells(self, tmp_path):
+        spec = small_spec(instances_per_cell=3)
+        run_dir = run_experiment(spec, OracleEchoBackend(), tmp_path / "run")
+        before = aggregate(run_dir, write=False)
+        # a copy of one cell file under the name of a rendering the spec does
+        # not ask for, each record naming that rendering and a backend error
+        records = run_dir / "records"
+        lines = (records / "pc.20.base.list.jsonl").read_text().splitlines()
+        stray = [altered(line, {"rendering": "string", "error": "Timeout"}) for line in lines]
+        (records / "pc.20.base.string.jsonl").write_text("\n".join(stray) + "\n")
+        assert len(rundir.scan_cell_file(records / "pc.20.base.string.jsonl", 3)) == 3
+        backend = StallingBackend()
+        run_experiment(spec, backend, run_dir)
+        assert backend.calls == 0
+        after = aggregate(run_dir, write=False)
+        assert after.to_json() == before.to_json()
+        assert after.format_text() == before.format_text()
+        assert len(keyed_records(run_dir)) == 12
 
     @pytest.mark.parametrize("change", [pytest.param(change, id=id_) for id_, change in ODD_RECORDS])
     def test_resume_and_report_count_odd_records_that_keep_every_rule(self, tmp_path, change):
@@ -903,26 +934,24 @@ class TestAggregate:
         assert (dir_a / "table.txt").read_text(encoding="utf-8") == PAIR_TABLE_TXT
         assert (dir_a / "table.json").read_text(encoding="utf-8") == PAIR_TABLE_JSON
 
-    def test_text_table_of_two_renderings_a_missing_kind_and_unequal_n(self):
+    def test_text_table_of_a_missing_kind_and_unequal_n(self):
         pc, ep = TaskId.PARITY_CHECK, TaskId.EVEN_PAIRS
         base, scot = SupervisionKind.BASE, SupervisionKind.SUPERVISED_COT
-        listed, compact = InputRendering.LIST_FIED, InputRendering.COMPACT_STRING
+        listed = InputRendering.LIST_FIED
         # out of table order: the text sorts them
         cells = [
-            CellStats(CellKey(ep, 10, scot, compact), 5, 0, 5, 0),
+            CellStats(CellKey(ep, 12, scot, listed), 5, 0, 5, 0),
             CellStats(CellKey(pc, 20, scot, listed), 10, 10, 0, 0),
             CellStats(CellKey(ep, 10, scot, listed), 8, 6, 1, 2),
-            CellStats(CellKey(pc, 20, base, compact), 10, 7, 0, 0),
             CellStats(CellKey(ep, 10, base, listed), 10, 10, 0, 0),
             CellStats(CellKey(pc, 20, base, listed), 10, 9, 0, 0),
         ]
         assert AccuracyTable(cells).format_text() == (
-            "Task  Len   Input      n                 Base                S-CoT\n"
-            "----  ---  ------  -----  -------------------  -------------------\n"
-            "PC    20     list     10    90.0 [59.6, 98.2]  100.0 [72.2, 100.0]\n"
-            "PC    20   string     10    70.0 [39.7, 89.2]                    -\n"
-            "EP    10     list  mixed  100.0 [72.2, 100.0]    75.0 [40.9, 92.9]\n"
-            "EP    10   string      5                    -      0.0 [0.0, 43.4]\n"
+            "Task  Len      n                 Base                S-CoT\n"
+            "----  ---  -----  -------------------  -------------------\n"
+            "PC    20      10    90.0 [59.6, 98.2]  100.0 [72.2, 100.0]\n"
+            "EP    10   mixed  100.0 [72.2, 100.0]    75.0 [40.9, 92.9]\n"
+            "EP    12       5                    -      0.0 [0.0, 43.4]\n"
             "2 calls ended in a backend error and are left out of n; resume the run to issue them again\n"
         )
 
@@ -955,12 +984,27 @@ class TestCompare:
         table = compare_runs(dir_a, dir_b)
         assert len(table.rows) == 4
 
-    def test_structure_mismatch(self, tmp_path):
+    @pytest.mark.parametrize(
+        "other, message",
+        [
+            (
+                {"tasks": [TaskId.EVEN_PAIRS], "lengths": {TaskId.EVEN_PAIRS: [10]}},
+                "only in A: pc/20/base, pc/20/cot, pc/20/scot, pc/20/scot-sub; "
+                "only in B: ep/10/base, ep/10/cot, ep/10/scot, ep/10/scot-sub",
+            ),
+            (
+                {"lengths": {TaskId.PARITY_CHECK: [20, 25]}},
+                "only in A: none; only in B: pc/25/base, pc/25/cot, pc/25/scot, pc/25/scot-sub",
+            ),
+        ],
+        ids=["other-task", "one-more-length"],
+    )
+    def test_structure_mismatch(self, tmp_path, other, message):
         dir_a = run_experiment(small_spec(instances_per_cell=2), OracleEchoBackend(), tmp_path / "a")
-        other = small_spec(instances_per_cell=2, tasks=[TaskId.EVEN_PAIRS], lengths={TaskId.EVEN_PAIRS: [10]})
-        dir_b = run_experiment(other, OracleEchoBackend(), tmp_path / "b")
-        with pytest.raises(StructureMismatch):
+        dir_b = run_experiment(small_spec(instances_per_cell=2, **other), OracleEchoBackend(), tmp_path / "b")
+        with pytest.raises(StructureMismatch) as exc:
             compare_runs(dir_a, dir_b)
+        assert str(exc.value) == f"cell structures differ ({message})"
 
     def test_two_proportion_z_signs(self):
         assert two_proportion_z(90, 100, 50, 100) < -1.96
@@ -1409,8 +1453,9 @@ class TestRecordCheck:
         except (ValueError, KeyError, MalformedInstance):
             passes = False
         assert passes is is_record
+        # load_records reads the cell files of the run's spec
+        rundir.init_run_dir(tmp_path, record_rules_spec())
         path = tmp_path / "records" / name
-        path.parent.mkdir()
         path.write_text(line + "\n")
         assert len(rundir.scan_cell_file(path, 10)) == len(list(rundir.load_records(tmp_path))) == is_record
 
